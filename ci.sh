@@ -5,7 +5,10 @@
 #   2. lints             cargo clippy -D warnings (core crates of this stack)
 #                        and rustdoc over the whole workspace with warnings
 #                        promoted to errors (public-API docs can't rot)
-#   3. tier-1 tests      cargo build --release && cargo test -q, run twice:
+#   3. tests             cargo build --release, then every test in the
+#                        workspace (cargo test --workspace: the root
+#                        package's tier-1 suites plus every crate's unit,
+#                        integration, proptest and doc tests), run twice:
 #                        once with the harvest-threads pool forced sequential
 #                        (HARVEST_THREADS=1) and once at the host default
 #   4. overload smoke    experiments overload --smoke + artifact drift check
@@ -13,7 +16,9 @@
 #   6. bench smoke       experiments bench --smoke + schema/determinism check,
 #                        with fingerprints gated against the committed
 #                        artifacts/BENCH_fingerprints.txt baseline at both
-#                        HARVEST_THREADS=1 and the host default
+#                        HARVEST_THREADS=1 and the host default; the run
+#                        also gates INT8 GEMM speed over every f32 variant
+#                        (median of 7 reps per kernel)
 #   7. wire smoke        experiments wire --smoke: fixed-seed socket-chaos
 #                        loadgen against the live HTTP front-end; schema
 #                        check, drift vs artifacts/wire.json, and a
@@ -68,13 +73,16 @@ cargo build --offline --release
 # under review.
 cargo build --offline --release -p harvest-bench
 
-echo "== tier-1: tests (sequential pool) =="
+echo "== workspace tests (sequential pool) =="
+# Every test in the workspace, not only the root package's tier-1 suites:
+# the serving core's unit tests, the wire's socket tests and HTTP fuzzing,
+# and every crate's proptests pin behaviour the smoke gates below cannot.
 # HARVEST_THREADS=1 reproduces the pre-pool sequential execution exactly —
 # the suite must hold there, not just at the host's default width.
-HARVEST_THREADS=1 cargo test --offline -q
+HARVEST_THREADS=1 cargo test --offline --workspace -q
 
-echo "== tier-1: tests (default pool) =="
-cargo test --offline -q
+echo "== workspace tests (default pool) =="
+cargo test --offline --workspace -q
 
 echo "== overload smoke =="
 # The smoke run asserts conservation and bit-identical reruns internally;
@@ -106,8 +114,9 @@ diff "$smoke_dir/integrity.run1.json" "$smoke_dir/integrity.json" \
 echo "== bench smoke =="
 # Reduced-size kernel + model benches: the run itself asserts batched logits
 # match the per-image reference (< 1e-4 rel), that reruns are bit-identical,
-# and that the thread-scaling sweep's fingerprints agree at every pool
-# width. Here we gate the BENCH.json schema and pin the model fingerprints
+# that the thread-scaling sweep's fingerprints agree at every pool width,
+# and that the packed INT8 GEMM beats every f32 GEMM variant (median of 7
+# reps each, at the smoke shape). Here we gate the BENCH.json schema and pin the model fingerprints
 # against the committed baseline — at the host's default pool width AND
 # with the pool forced sequential, in one stroke proving determinism,
 # thread-invariance, and that the kernels still compute the seed's bits.

@@ -1139,6 +1139,11 @@ fn serve(save: &dyn Fn(&str, String), smoke: bool) {
 fn bench(save: &dyn Fn(&str, String), smoke: bool) {
     println!("== Extension: measured execution performance (batched engine vs per-image seed) ==");
     let report = exp::bench(smoke);
+    // The timing gate lives here, not in the runner the unit tests call.
+    match exp::int8_speed_gate(smoke) {
+        Ok(line) => println!("int8 speed gate: {line}"),
+        Err(e) => panic!("{e}"),
+    }
     // Self-checks beyond the ones inside the runner (tolerance, same-run
     // determinism, full-mode speedup floor): a full second run must
     // reproduce every logits fingerprint bit for bit.

@@ -41,7 +41,7 @@ use harvest_models::{Graph, Node, NodeId, Op, Shape};
 use harvest_simkit::fault::FaultPlan;
 use harvest_tensor::attention::AttentionWeights;
 use harvest_tensor::integrity::{checksum_f32, flip_bit_in, max_abs_gap, scan_f32, ScanReport};
-use harvest_tensor::quant::{quantize_symmetric, QuantizedTensor};
+use harvest_tensor::quant::{gemm_i8_packed_into, quantize_symmetric, PackedI8B};
 use harvest_tensor::{
     add_bias, avg_pool2d_global, conv2d, conv2d_into_v, gelu, gemm_v, layernorm, max_pool2d,
     multi_head_attention, relu, softmax_rows, KernelVariant, Tensor,
@@ -78,7 +78,27 @@ struct LinearWeight {
     k: usize,
     n: usize,
     kxn: Vec<f32>,
-    int8: Option<QuantizedTensor>,
+    int8: Option<Int8Weight>,
+}
+
+/// The INT8 form of a [`LinearWeight`]: the symmetric quantization of
+/// `kxn`, packed once for [`harvest_tensor::quant::gemm_i8_packed_into`].
+/// Derived data: never serialized, never checksummed, rebuilt whenever the
+/// f32 matrix changes.
+#[derive(Clone)]
+struct Int8Weight {
+    scale: f32,
+    packed: PackedI8B,
+}
+
+impl Int8Weight {
+    fn quantize(kxn: &[f32], k: usize, n: usize) -> Self {
+        let q = quantize_symmetric(kxn);
+        Int8Weight {
+            scale: q.scale,
+            packed: PackedI8B::pack(&q.data, k, n),
+        }
+    }
 }
 
 impl LinearWeight {
@@ -93,11 +113,7 @@ impl LinearWeight {
                 kxn[p * n + j] = src[j * k + p];
             }
         }
-        let int8 = if quantize {
-            Some(quantize_symmetric(&kxn))
-        } else {
-            None
-        };
+        let int8 = quantize.then(|| Int8Weight::quantize(&kxn, k, n));
         LinearWeight { k, n, kxn, int8 }
     }
 }
@@ -535,7 +551,7 @@ impl MaterializedWeights {
             };
             for lw in linears {
                 if lw.int8.is_some() {
-                    lw.int8 = Some(quantize_symmetric(&lw.kxn));
+                    lw.int8 = Some(Int8Weight::quantize(&lw.kxn, lw.k, lw.n));
                 }
             }
         }
@@ -818,7 +834,7 @@ impl<'g> Executor<'g> {
     }
 
     /// The underlying graph.
-    pub fn graph(&self) -> &Graph {
+    pub fn graph(&self) -> &'g Graph {
         self.graph
     }
 
@@ -1126,20 +1142,18 @@ impl<'g> Executor<'g> {
         debug_assert_eq!(out.len(), rows * w.n);
         match (&w.int8, self.int8_linears) {
             (Some(cached), true) => {
-                let requantized = if self.int8_cache {
-                    None
-                } else {
-                    Some(quantize_symmetric(&w.kxn))
-                };
+                let requantized =
+                    (!self.int8_cache).then(|| Int8Weight::quantize(&w.kxn, w.k, w.n));
                 let qw = requantized.as_ref().unwrap_or(cached);
                 debug_assert_eq!(rows % groups, 0);
                 let rpg = rows / groups;
+                let mut acc = vec![0i32; rpg * w.n];
                 for g in 0..groups {
                     let xs = &x[g * rpg * w.k..(g + 1) * rpg * w.k];
                     let qa = quantize_symmetric(xs);
-                    let acc = harvest_tensor::quant::gemm_i8(&qa.data, &qw.data, rpg, w.k, w.n);
+                    gemm_i8_packed_into(&qa.data, &qw.packed, rpg, &mut acc);
                     let scale = qa.scale * qw.scale;
-                    for (o, v) in out[g * rpg * w.n..(g + 1) * rpg * w.n].iter_mut().zip(acc) {
+                    for (o, &v) in out[g * rpg * w.n..(g + 1) * rpg * w.n].iter_mut().zip(&acc) {
                         *o = v as f32 * scale;
                     }
                 }

@@ -112,10 +112,13 @@ fn main() -> ExitCode {
         }),
         "conserved": report.conserved(),
     });
-    println!(
-        "{}",
-        serde_json::to_string_pretty(&doc).expect("render json")
-    );
+    match serde_json::to_string_pretty(&doc) {
+        Ok(text) => println!("{text}"),
+        Err(e) => {
+            eprintln!("loadgen: cannot render the report: {e}");
+            return ExitCode::FAILURE;
+        }
+    }
 
     if report.conserved() && drain.stats.conserved() {
         ExitCode::SUCCESS

@@ -4,8 +4,11 @@
 //! This crate puts a real socket in front of the real-execution serving
 //! stack: thread-per-core accept loops over `std::net::TcpListener` take
 //! image POSTs, decode them (AJPG/RTIF sniffing), preprocess to the model
-//! tensor, and run them through [`harvest_serving::RealBatchServer`] on a
-//! dedicated engine thread, streaming classification responses back.
+//! tensor, and hand them to an engine thread that drives the serving
+//! layer's batch/swap core ([`harvest_serving::BatchCore`]) over a pool of
+//! replica executors, streaming classification responses back. The
+//! breaker's degraded rung is a [`harvest_serving::RealBatchServer`] — the
+//! same core at width 1 with an inline executor.
 //!
 //! The robustness story, in four layers:
 //!

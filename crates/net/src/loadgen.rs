@@ -169,7 +169,7 @@ fn percentile(samples: &[f64], p: f64) -> f64 {
         return 0.0;
     }
     let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
+    sorted.sort_by(f64::total_cmp);
     let rank = (p / 100.0 * (sorted.len() - 1) as f64).floor() as usize;
     sorted[rank.min(sorted.len() - 1)]
 }

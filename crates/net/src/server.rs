@@ -3,15 +3,18 @@
 //! Architecture: `accept_threads` accept loops share one
 //! `std::net::TcpListener`, each handling its accepted connection to
 //! completion (parse → decode → preprocess → submit). Inference runs on a
-//! **data-parallel engine worker pool**: a coordinator thread owns the
-//! model graph, the dynamic batcher, and the weight-generation cell, and
-//! `engine_workers` replica executors each serve whole batches. Batches
-//! are assigned to workers deterministically (`seq % engine_workers`) and
-//! completions merge back in submission order, so logits, completion
-//! order, and wire fingerprints are bit-identical at every pool width.
-//! Connections talk to the coordinator over an mpsc channel and block on a
-//! per-request reply channel, so batches form across connections while the
-//! pool overlaps their execution.
+//! **data-parallel engine worker pool**: an engine thread drives the
+//! serving layer's sans-IO batch/swap core ([`BatchCore`]) at width
+//! `engine_workers`, and that many replica executors each serve whole
+//! batches. The core owns batching, the weight-generation cell, worker
+//! assignment (`seq % engine_workers`) and the submission-order merge, so
+//! logits, completion order, and wire fingerprints are bit-identical at
+//! every pool width; this module only moves the core's events over
+//! channels. Connections talk to the engine over an mpsc channel and block
+//! on a per-request reply channel, so batches form across connections
+//! while the pool overlaps their execution. The breaker's degraded rung is
+//! a [`RealBatchServer`]: the same core at width 1, executing inline on the
+//! engine thread.
 //!
 //! Hardening contract:
 //!
@@ -31,33 +34,28 @@
 //!   the engine's integrity-gated load (one staging slot — a concurrent
 //!   swap gets `409`; a draining or breaker-open engine gets `503`), and
 //!   `GET /metrics` exposes a deterministic text snapshot of the wire
-//!   ledger, queue depths, breaker/ladder state, and the weight-generation
+//!   ledger, queue depths, breaker/ladder state, the weight-generation
 //!   cell (current/previous fingerprints, swap/rollback/rejected-load
-//!   counts).
+//!   counts), and the pool's per-worker and scratch counters.
 
 use crate::http::{parse_request, write_response, HttpLimits, Method, Parsed, Request};
+use harvest_engine::{ActivationGuard, Executor, MaterializedWeights, ScratchStats, WeightStore};
 use harvest_imaging::decode_auto;
-use harvest_models::{vit, VitConfig};
+use harvest_models::{vit, Graph, VitConfig};
 use harvest_preproc::preprocess_decoded;
-use harvest_serving::batcher::QueuedRequest;
 use harvest_serving::{
-    BatcherConfig, BreakerConfig, BreakerState, CircuitBreaker, DynamicBatcher, RealBatchServer,
-    ServeFault, ServingLimits, ShedPolicy,
+    BatchCore, BatcherConfig, BreakerConfig, BreakerState, CircuitBreaker, Completion, CoreEvent,
+    RealBatchServer, RunBatch, ServeFault, ServingLimits, ShedPolicy, Verdict,
 };
 use harvest_simkit::SimTime;
 use harvest_tensor::Tensor;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-use harvest_engine::{
-    decode_artifact_staged, ActivationGuard, Executor, MaterializedWeights, ScratchStats,
-    WeightStore, WeightsCell,
-};
 
 /// Everything the wire needs to come up.
 #[derive(Clone, Debug)]
@@ -304,50 +302,29 @@ enum EngineMsg {
     },
     /// Snapshot the engine-side metrics (queues, breaker, generations).
     Metrics { reply: mpsc::Sender<String> },
-    /// A pool worker finished a dispatched batch (internal: workers share
-    /// the coordinator's channel so one blocking receive drives both
-    /// external traffic and completion merging).
-    WorkerDone(WorkerDone),
+    /// A pool worker's verdict on a dispatched batch (internal: workers
+    /// share the engine's channel so one blocking receive drives both
+    /// external traffic and the core's merge). The worker's scratch
+    /// counters ride along so `/metrics` never has to stop the pool.
+    WorkerDone {
+        seq: u64,
+        worker: usize,
+        verdict: Verdict<usize>,
+        scratch: ScratchStats,
+    },
     /// Shut the engine down once the drain has settled (sent by
     /// [`WireServer::shutdown`] after the accept loops are joined).
     Stop,
 }
 
-/// A batch dispatched to one pool worker.
+/// What the engine sends one pool worker.
 enum WorkerMsg {
-    Run {
-        /// Batch sequence number: fixes both the worker assignment
-        /// (`seq % width`) and the submission-order merge position.
-        seq: u64,
-        ids: Vec<u64>,
-        inputs: Vec<Tensor>,
-        /// Armed for a freshly swapped generation's first batch: run the
-        /// checked forward and report a sentinel violation instead of
-        /// emitting classes.
-        guard: Option<ActivationGuard>,
-    },
+    /// Run a batch; report argmax classes, or a sentinel violation when
+    /// the batch carries a guard.
+    Run(RunBatch),
     /// Install a newly published (or rolled-back-to) weight generation.
     Install(Arc<MaterializedWeights>),
     Stop,
-}
-
-/// One worker's verdict on one batch, merged by the coordinator in
-/// submission order.
-struct WorkerDone {
-    seq: u64,
-    worker: usize,
-    ids: Vec<u64>,
-    /// Argmax class per request, in the batch's submission order (empty on
-    /// a violation).
-    classes: Vec<usize>,
-    batch_size: usize,
-    /// The guarded run tripped the activation sentinel; `inputs` carries
-    /// the payloads back so the coordinator can roll back and re-dispatch.
-    violation: bool,
-    inputs: Vec<Tensor>,
-    /// The worker executor's scratch counters, piggybacked so `/metrics`
-    /// never has to stop the pool.
-    scratch: ScratchStats,
 }
 
 /// Resolution of one `POST /admin/swap`, sent back from the engine thread.
@@ -388,7 +365,8 @@ pub struct WireServer {
 }
 
 impl WireServer {
-    /// Bind, spawn the engine and the accept loops, and start serving.
+    /// Bind, spawn the engine pool and the accept loops, and start
+    /// serving. Every configuration or startup failure is an `io::Error`.
     pub fn start(config: WireConfig) -> io::Result<WireServer> {
         let mut batcher = config
             .limits
@@ -396,27 +374,29 @@ impl WireServer {
                 config.preferred_batch,
                 SimTime::from_millis(config.max_queue_delay_ms),
             )
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+            .map_err(invalid)?;
         if config.drop_oldest {
             batcher.shed = ShedPolicy::DropOldest;
         }
         // The derived config must still agree with the limits it came from.
-        config
-            .limits
-            .check_batcher(&batcher)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+        config.limits.check_batcher(&batcher).map_err(invalid)?;
         if config.accept_threads == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "accept_threads must be at least 1",
-            ));
+            return Err(invalid("accept_threads must be at least 1"));
         }
         // The pool check also documents the contract: queue and in-flight
         // bounds are pool-wide, so widening the pool never widens them.
         config
             .limits
             .check_pool(config.engine_workers)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+            .map_err(invalid)?;
+        config.breaker.validate().map_err(invalid)?;
+        if let Some(d) = &config.degraded_model {
+            if d.img != config.model.img || d.classes != config.model.classes {
+                return Err(invalid(
+                    "degraded_model must share img and classes with model",
+                ));
+            }
+        }
 
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
@@ -429,30 +409,41 @@ impl WireServer {
             swap_staging: AtomicBool::new(false),
         });
 
-        config
-            .breaker
-            .validate()
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-        if let Some(d) = &config.degraded_model {
-            if d.img != config.model.img || d.classes != config.model.classes {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "degraded_model must share img and classes with model",
-                ));
-            }
+        // The pool: `engine_workers` replica executors over one shared
+        // graph. Workers send verdicts back over the engine's own channel,
+        // so the engine has one blocking receive.
+        let (tx, rx) = mpsc::channel::<EngineMsg>();
+        let graph = Arc::new(vit("wire-served", &config.model));
+        let floor = Duration::from_millis(config.engine_batch_floor_ms);
+        let mut workers = Vec::with_capacity(config.engine_workers);
+        for w in 0..config.engine_workers {
+            let (wtx, wrx) = mpsc::channel::<WorkerMsg>();
+            let graph = Arc::clone(&graph);
+            let done = tx.clone();
+            let seed = config.model_seed;
+            let handle = std::thread::Builder::new()
+                .name(format!("wire-exec-{w}"))
+                .spawn(move || worker_loop(w, &graph, seed, floor, wrx, done))?;
+            workers.push((wtx, handle));
         }
 
-        let (tx, rx) = mpsc::channel::<EngineMsg>();
+        // The engine thread builds the batch core over the graph and
+        // reports back before any connection is accepted.
+        let (ready_tx, ready_rx) = mpsc::channel::<Result<(), String>>();
         let engine_handle = {
             let config = config.clone();
-            // Pool workers send completions back over the same channel the
-            // accept loops use, so the coordinator has one blocking receive.
-            let pool_tx = tx.clone();
             let tick = Duration::from_millis(config.max_queue_delay_ms.div_ceil(2).max(1));
             std::thread::Builder::new()
                 .name("wire-engine".to_string())
-                .spawn(move || engine_loop(rx, pool_tx, config, batcher, tick))?
+                .spawn(move || engine_loop(rx, config, batcher, graph, workers, tick, ready_tx))?
         };
+        let ready = ready_rx
+            .recv()
+            .unwrap_or_else(|_| Err("engine thread exited during startup".to_string()));
+        if let Err(e) = ready {
+            let _ = engine_handle.join();
+            return Err(invalid(e));
+        }
 
         let mut accept_handles = Vec::with_capacity(config.accept_threads);
         for worker in 0..config.accept_threads {
@@ -492,12 +483,21 @@ impl WireServer {
         self.shared.stats.snapshot()
     }
 
+    /// The engine channel. A thread that panicked while holding the lock
+    /// cannot have left the `Option` half-written, so a poisoned lock is
+    /// recovered rather than propagated.
+    fn engine_tx(&self) -> MutexGuard<'_, Option<mpsc::Sender<EngineMsg>>> {
+        self.engine_tx
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Force the admission breaker open: `/classify` answers
     /// `503 Retry-After` until the cooldown elapses, then the half-open
     /// probes run through the degradation ladder. Operator hook — also the
     /// deterministic way for tests to stage an engine outage.
     pub fn trip_breaker(&self) {
-        if let Some(tx) = self.engine_tx.lock().expect("engine tx lock").as_ref() {
+        if let Some(tx) = self.engine_tx().as_ref() {
             let _ = tx.send(EngineMsg::TripBreaker);
         }
     }
@@ -507,7 +507,7 @@ impl WireServer {
     /// explicit refusals instead of connection errors.
     pub fn begin_drain(&self) {
         if !self.shared.draining.swap(true, Ordering::SeqCst) {
-            if let Some(tx) = self.engine_tx.lock().expect("engine tx lock").as_ref() {
+            if let Some(tx) = self.engine_tx().as_ref() {
                 let _ = tx.send(EngineMsg::Drain);
             }
         }
@@ -530,8 +530,8 @@ impl WireServer {
         // The accept loops are joined, so no submission is in flight. The
         // pool workers hold clones of the engine sender (the channel never
         // disconnects on its own), so shutdown is an explicit message: the
-        // coordinator finishes the drain, stops its workers, and exits.
-        if let Some(tx) = self.engine_tx.lock().expect("engine tx lock").take() {
+        // engine finishes the drain, stops and joins its workers, and exits.
+        if let Some(tx) = self.engine_tx().take() {
             let _ = tx.send(EngineMsg::Stop);
         }
         if let Some(handle) = self.engine_handle.take() {
@@ -546,48 +546,16 @@ impl WireServer {
     }
 }
 
+/// A configuration the server cannot start with.
+fn invalid(e: impl std::fmt::Display) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidInput, e.to_string())
+}
+
 /// A request the engine has admitted but not yet resolved.
 struct PendingReply {
     tx: mpsc::Sender<WireOutcome>,
     submitted: SimTime,
     degraded: bool,
-}
-
-/// Resolve a [`RealBatchServer`]'s outputs (the degraded ladder rung)
-/// against the waiting map and the breaker (successes close it, faults
-/// trip it).
-fn deliver(
-    waiting: &mut HashMap<u64, PendingReply>,
-    breaker: &mut CircuitBreaker,
-    now: SimTime,
-    completed: Vec<harvest_serving::Completion>,
-    shed: Vec<u64>,
-    faults: Vec<ServeFault>,
-) {
-    for c in completed {
-        if let Some(p) = waiting.remove(&c.id) {
-            breaker.record_success(now, now.saturating_sub(p.submitted));
-            let _ = p.tx.send(WireOutcome::Done {
-                class: argmax(c.output.data()),
-                batch: c.batch_size,
-                degraded: p.degraded,
-                generation: c.generation,
-            });
-        }
-    }
-    for id in shed {
-        if let Some(p) = waiting.remove(&id) {
-            let _ = p.tx.send(WireOutcome::Shed);
-        }
-    }
-    for fault in faults {
-        if let ServeFault::MissingPayload { id } = fault {
-            breaker.record_failure(now);
-            if let Some(p) = waiting.remove(&id) {
-                let _ = p.tx.send(WireOutcome::Failed);
-            }
-        }
-    }
 }
 
 /// One pool worker: a replica executor serving whole batches. Kernels run
@@ -598,7 +566,7 @@ fn deliver(
 /// bit-identical to every other worker and every pool width.
 fn worker_loop(
     worker: usize,
-    graph: &harvest_models::Graph,
+    graph: &Graph,
     seed: u64,
     floor: Duration,
     rx: mpsc::Receiver<WorkerMsg>,
@@ -609,51 +577,21 @@ fn worker_loop(
         let mut sink: Vec<f32> = Vec::new();
         while let Ok(msg) = rx.recv() {
             match msg {
-                WorkerMsg::Run {
-                    seq,
-                    ids,
-                    inputs,
-                    guard,
-                } => {
+                WorkerMsg::Run(batch) => {
                     let started = Instant::now();
-                    let out = match guard {
+                    let verdict = match batch.guard {
                         Some(g) => {
-                            let run = exec.forward_batch_checked(&inputs, Some(&g), None);
+                            let run = exec.forward_batch_checked(&batch.inputs, Some(&g), None);
                             match run.violation {
-                                Some(_) => WorkerDone {
-                                    seq,
-                                    worker,
-                                    batch_size: ids.len(),
-                                    ids,
-                                    classes: Vec::new(),
-                                    violation: true,
-                                    inputs,
-                                    scratch: exec.scratch_stats(),
-                                },
-                                None => WorkerDone {
-                                    seq,
-                                    worker,
-                                    batch_size: ids.len(),
-                                    ids,
-                                    classes: run.outputs.iter().map(|t| argmax(t.data())).collect(),
-                                    violation: false,
-                                    inputs: Vec::new(),
-                                    scratch: exec.scratch_stats(),
-                                },
+                                Some(_) => Verdict::Violation(batch.inputs),
+                                None => Verdict::Outputs(
+                                    run.outputs.iter().map(|t| argmax(t.data())).collect(),
+                                ),
                             }
                         }
                         None => {
-                            let per = exec.forward_batch_into(&inputs, &mut sink).max(1);
-                            WorkerDone {
-                                seq,
-                                worker,
-                                batch_size: ids.len(),
-                                ids,
-                                classes: sink.chunks_exact(per).map(argmax).collect(),
-                                violation: false,
-                                inputs: Vec::new(),
-                                scratch: exec.scratch_stats(),
-                            }
+                            let per = exec.forward_batch_into(&batch.inputs, &mut sink).max(1);
+                            Verdict::Outputs(sink.chunks_exact(per).map(argmax).collect())
                         }
                     };
                     if floor > Duration::ZERO {
@@ -662,7 +600,13 @@ fn worker_loop(
                             std::thread::sleep(floor - elapsed);
                         }
                     }
-                    if done.send(EngineMsg::WorkerDone(out)).is_err() {
+                    let msg = EngineMsg::WorkerDone {
+                        seq: batch.seq,
+                        worker,
+                        verdict,
+                        scratch: exec.scratch_stats(),
+                    };
+                    if done.send(msg).is_err() {
                         break;
                     }
                 }
@@ -673,130 +617,143 @@ fn worker_loop(
     });
 }
 
-/// A batch formed by the batcher, waiting for a dispatch slot.
-type ReadyBatch = (u64, Vec<u64>, Vec<Tensor>);
-
-/// The coordinator's pool-side state: the batcher, the generation cell,
-/// the dispatch/merge machinery, and the swap/guard barrier flags.
-struct Coord<'s, 'g> {
-    worker_txs: &'s [mpsc::Sender<WorkerMsg>],
-    graph: &'g harvest_models::Graph,
-    swap_guard: ActivationGuard,
-    width: u64,
-    cell: WeightsCell,
-    batcher: DynamicBatcher,
+/// The engine thread's state: the batch core at pool width, the pool's
+/// channels, the degraded ladder rung, the admission breaker, and the
+/// reply channels of everything unresolved.
+struct Engine<'g> {
+    core: BatchCore<'g, usize>,
+    workers: Vec<mpsc::Sender<WorkerMsg>>,
+    worker_scratch: Vec<ScratchStats>,
+    degraded: Option<RealBatchServer<'g>>,
+    breaker: CircuitBreaker,
     waiting: HashMap<u64, PendingReply>,
-    pending: HashMap<u64, Tensor>,
-    ready: VecDeque<ReadyBatch>,
-    done_buf: BTreeMap<u64, WorkerDone>,
-    next_seq: u64,
-    next_done: u64,
-    in_flight: usize,
-    /// A staged `/admin/swap`, held until the pool-wide batch boundary.
-    pending_swap: Option<(Vec<u8>, mpsc::Sender<SwapOutcome>)>,
-    /// The freshly published generation's first batch must run guarded and
-    /// solo (a pool-wide barrier until its verdict).
-    guard_pending: bool,
-    guard_inflight: Option<u64>,
+    /// Staged `/admin/swap`s awaiting the core's verdict, in order.
+    swaps: VecDeque<mpsc::Sender<SwapOutcome>>,
     drain_requested: bool,
     drained: bool,
-    executed_batches: u64,
-    executed_requests: u64,
-    worker_batches: Vec<u64>,
-    worker_requests: Vec<u64>,
-    worker_scratch: Vec<ScratchStats>,
+    start: Instant,
 }
 
-impl Coord<'_, '_> {
-    /// Pair a dispatched batch with its payloads and queue it for the
-    /// pool. A queued id without a payload is bookkeeping skew: answer it
-    /// with a typed failure, keep its batchmates.
-    fn form_batch(&mut self, batch: Vec<QueuedRequest>, breaker: &mut CircuitBreaker, t: SimTime) {
-        let mut ids = Vec::with_capacity(batch.len());
-        let mut inputs = Vec::with_capacity(batch.len());
-        for r in batch {
-            match self.pending.remove(&r.id) {
-                Some(input) => {
-                    ids.push(r.id);
-                    inputs.push(input);
-                }
-                None => {
-                    breaker.record_failure(t);
-                    if let Some(p) = self.waiting.remove(&r.id) {
-                        let _ = p.tx.send(WireOutcome::Failed);
-                    }
-                }
-            }
-        }
-        if ids.is_empty() {
-            return;
-        }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.ready.push_back((seq, ids, inputs));
+impl Engine<'_> {
+    fn now(&self) -> SimTime {
+        SimTime::from_nanos(self.start.elapsed().as_nanos() as u64)
     }
 
-    /// Make pool progress: resolve a staged swap at the pool-wide batch
-    /// boundary, dispatch ready batches under the gating rules, and settle
-    /// a requested drain once every dispatched batch has come home.
-    fn pump(&mut self) {
-        if self.pending_swap.is_some() && self.in_flight == 0 {
-            let (body, reply) = self.pending_swap.take().expect("checked above");
-            match decode_artifact_staged(&body, self.graph, false, None) {
-                Ok(w) => {
-                    let generation = self.cell.publish(Arc::new(w));
-                    let weights = self.cell.current().weights();
-                    for wtx in self.worker_txs {
-                        let _ = wtx.send(WorkerMsg::Install(Arc::clone(&weights)));
+    /// The one reply path, for both ladder rungs: resolve a waiting
+    /// request exactly once.
+    fn answer(&mut self, id: u64, outcome: WireOutcome) {
+        if let Some(p) = self.waiting.remove(&id) {
+            let _ = p.tx.send(outcome);
+        }
+    }
+
+    /// A completion from either rung: tagged with the rung that admitted
+    /// the request, and fed to the breaker's success EWMA.
+    fn served(&mut self, id: u64, class: usize, batch: usize, generation: u64, t: SimTime) {
+        let Some(p) = self.waiting.remove(&id) else {
+            return;
+        };
+        self.breaker
+            .record_success(t, t.saturating_sub(p.submitted));
+        let _ = p.tx.send(WireOutcome::Done {
+            class,
+            batch,
+            degraded: p.degraded,
+            generation,
+        });
+    }
+
+    /// Bookkeeping skew: the request fails with a 500, the breaker hears
+    /// about it.
+    fn fault(&mut self, fault: ServeFault, t: SimTime) {
+        let ServeFault::MissingPayload { id } = fault;
+        self.breaker.record_failure(t);
+        self.answer(id, WireOutcome::Failed);
+    }
+
+    /// Carry out the core's events: runs go to their worker, installs to
+    /// every worker, resolutions back to their connections.
+    fn route(&mut self, t: SimTime) {
+        while let Some(event) = self.core.next_event() {
+            match event {
+                CoreEvent::Run(batch) => {
+                    if let Some(w) = self.workers.get(batch.worker) {
+                        let _ = w.send(WorkerMsg::Run(batch));
                     }
-                    self.guard_pending = true;
-                    let _ = reply.send(SwapOutcome::Swapped {
-                        generation,
-                        fingerprint: self.cell.current().fingerprint(),
-                    });
                 }
-                Err(e) => {
-                    self.cell.record_rejected_load();
-                    let _ = reply.send(SwapOutcome::Rejected {
-                        error: e.to_string(),
-                    });
+                CoreEvent::Install(weights) => {
+                    for w in &self.workers {
+                        let _ = w.send(WorkerMsg::Install(Arc::clone(&weights)));
+                    }
+                }
+                CoreEvent::Complete(c) => {
+                    self.served(c.id, c.output, c.batch_size, c.generation, t)
+                }
+                CoreEvent::Shed(id) => self.answer(id, WireOutcome::Shed),
+                CoreEvent::Fault(fault) => self.fault(fault, t),
+                CoreEvent::SwapResolved(verdict) => {
+                    let outcome = match verdict {
+                        Ok(g) => SwapOutcome::Swapped {
+                            generation: g.number(),
+                            fingerprint: g.fingerprint(),
+                        },
+                        Err(e) => SwapOutcome::Rejected {
+                            error: e.to_string(),
+                        },
+                    };
+                    if let Some(reply) = self.swaps.pop_front() {
+                        let _ = reply.send(outcome);
+                    }
                 }
             }
         }
-        loop {
-            if self.ready.is_empty()
-                || self.pending_swap.is_some()
-                || self.guard_inflight.is_some()
-                || (self.guard_pending && self.in_flight > 0)
-            {
-                break;
-            }
-            let (seq, ids, inputs) = self.ready.pop_front().expect("checked non-empty");
-            let guard = if self.guard_pending {
-                self.guard_pending = false;
-                self.guard_inflight = Some(seq);
-                Some(self.swap_guard)
-            } else {
-                None
-            };
-            let w = (seq % self.width) as usize;
-            let _ = self.worker_txs[w].send(WorkerMsg::Run {
-                seq,
-                ids,
-                inputs,
-                guard,
-            });
-            self.in_flight += 1;
+    }
+
+    /// Answer what a call on the degraded rung resolved.
+    fn absorb_degraded(&mut self, completed: Vec<Completion>, shed: Vec<u64>, t: SimTime) {
+        for c in completed {
+            self.served(c.id, argmax(c.output.data()), c.batch_size, c.generation, t);
         }
-        if self.drain_requested
-            && !self.drained
-            && self.pending_swap.is_none()
-            && self.ready.is_empty()
-            && self.in_flight == 0
-        {
-            // The flush dispatched and answered everything it could;
-            // anything still waiting hit bookkeeping skew — fail it
-            // explicitly rather than hang its connection.
+        for id in shed {
+            self.answer(id, WireOutcome::Shed);
+        }
+        let faults = match self.degraded.as_mut() {
+            Some(rung) => rung.take_faults(),
+            None => Vec::new(),
+        };
+        for fault in faults {
+            self.fault(fault, t);
+        }
+    }
+
+    /// Fire the delay triggers of both rungs.
+    fn poll(&mut self, t: SimTime) {
+        self.core.poll(t);
+        if let Some(rung) = self.degraded.as_mut() {
+            let done = rung.poll(t);
+            self.absorb_degraded(done, Vec::new(), t);
+        }
+    }
+
+    /// Flush both rungs and refuse new work. Stragglers are failed in
+    /// [`Engine::settle_drain`] once the dispatched batches come home.
+    fn drain(&mut self, t: SimTime) {
+        if self.drain_requested {
+            return;
+        }
+        self.core.flush();
+        if let Some(rung) = self.degraded.as_mut() {
+            let done = rung.flush();
+            self.absorb_degraded(done, Vec::new(), t);
+        }
+        self.drain_requested = true;
+    }
+
+    /// Once a requested drain has nothing left in flight, anything still
+    /// waiting hit bookkeeping skew: fail it explicitly rather than hang
+    /// its connection.
+    fn settle_drain(&mut self) {
+        if self.drain_requested && !self.drained && self.core.is_idle() {
             for (_, p) in self.waiting.drain() {
                 let _ = p.tx.send(WireOutcome::Failed);
             }
@@ -804,83 +761,67 @@ impl Coord<'_, '_> {
         }
     }
 
-    /// Absorb one worker verdict: violations roll the swap back and
-    /// re-dispatch; completions enter the reorder buffer and the
-    /// contiguous prefix is emitted in submission order.
-    fn on_done(&mut self, d: WorkerDone, breaker: &mut CircuitBreaker, t: SimTime) {
-        self.in_flight -= 1;
-        self.worker_scratch[d.worker] = d.scratch;
-        if d.violation {
-            // The swap sentinel fired on the fresh generation's first
-            // batch: roll back, reinstall the serving weights on every
-            // worker, and re-serve the same batch on the same worker — no
-            // request is ever answered from the quarantined generation.
-            self.guard_inflight = None;
-            if self.cell.rollback().is_some() {
-                let weights = self.cell.current().weights();
-                for wtx in self.worker_txs {
-                    let _ = wtx.send(WorkerMsg::Install(Arc::clone(&weights)));
-                }
-            }
-            let w = (d.seq % self.width) as usize;
-            let _ = self.worker_txs[w].send(WorkerMsg::Run {
-                seq: d.seq,
-                ids: d.ids,
-                inputs: d.inputs,
-                guard: None,
-            });
-            self.in_flight += 1;
+    /// Admit one `/classify` through the breaker ladder: closed → the full
+    /// model's pool; half-open → admitted probes run on the degraded rung;
+    /// open → explicit refusal.
+    fn submit(&mut self, id: u64, input: Tensor, reply: mpsc::Sender<WireOutcome>) {
+        if self.drain_requested {
+            let _ = reply.send(WireOutcome::Rejected);
             return;
         }
-        if self.guard_inflight == Some(d.seq) {
-            self.guard_inflight = None;
-            self.cell.mark_proven();
-        }
-        self.done_buf.insert(d.seq, d);
-        while let Some(d) = self.done_buf.remove(&self.next_done) {
-            self.next_done += 1;
-            self.emit(d, breaker, t);
-        }
-    }
-
-    /// Answer one merged batch. Generations are tagged at delivery time:
-    /// installs land only at pool-wide batch boundaries, so the serving
-    /// generation here is the one that ran the batch (or the rolled-back-to
-    /// one that re-served it after a sentinel violation).
-    fn emit(&mut self, d: WorkerDone, breaker: &mut CircuitBreaker, t: SimTime) {
-        self.executed_batches += 1;
-        self.executed_requests += d.ids.len() as u64;
-        self.worker_batches[d.worker] += 1;
-        self.worker_requests[d.worker] += d.ids.len() as u64;
-        let generation = self.cell.current().number();
-        for (id, class) in d.ids.iter().zip(&d.classes) {
-            if let Some(p) = self.waiting.remove(id) {
-                breaker.record_success(t, t.saturating_sub(p.submitted));
-                let _ = p.tx.send(WireOutcome::Done {
-                    class: *class,
-                    batch: d.batch_size,
-                    degraded: p.degraded,
-                    generation,
-                });
+        let t = self.now();
+        let degraded = match self.breaker.state(t) {
+            BreakerState::Closed => false,
+            BreakerState::HalfOpen if self.breaker.allow(t) => self.degraded.is_some(),
+            BreakerState::HalfOpen | BreakerState::Open => {
+                let _ = reply.send(WireOutcome::BreakerOpen);
+                return;
             }
+        };
+        self.waiting.insert(
+            id,
+            PendingReply {
+                tx: reply,
+                submitted: t,
+                degraded,
+            },
+        );
+        let rung = self.degraded.as_mut().filter(|_| degraded);
+        let admitted = match rung {
+            // The degraded rung runs inline on the engine thread: cheap
+            // capacity while confidence rebuilds does not need the pool.
+            Some(rung) => {
+                let sub = rung.submit(id, input, t);
+                self.absorb_degraded(sub.completed, sub.shed, t);
+                sub.admitted
+            }
+            None => self.core.submit(id, input, t),
+        };
+        if !admitted {
+            self.answer(id, WireOutcome::Rejected);
+        }
+        // A submission may also have pushed the oldest request past the
+        // delay bound.
+        let t = self.now();
+        if degraded {
+            if let Some(rung) = self.degraded.as_mut() {
+                let late = rung.poll(t);
+                self.absorb_degraded(late, Vec::new(), t);
+            }
+        } else {
+            self.core.poll(t);
         }
     }
 
     /// The engine-side half of the `/metrics` snapshot: queue depths,
-    /// breaker and ladder state, integrity counters, the weight-generation
-    /// cell, and the pool's per-worker and scratch counters. One
-    /// `name value` pair per line, fixed order, no timestamps — the text is
-    /// a pure function of the counters, so identical runs produce identical
-    /// snapshots.
-    fn metrics_text(
-        &self,
-        degraded: Option<&RealBatchServer<'_>>,
-        breaker: &mut CircuitBreaker,
-        t: SimTime,
-    ) -> String {
+    /// breaker and ladder state, the weight-generation cell, and the pool's
+    /// per-worker and scratch counters. One `name value` pair per line,
+    /// fixed order, no timestamps — the text is a pure function of the
+    /// counters, so identical runs produce identical snapshots.
+    fn metrics_text(&mut self, t: SimTime) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        let cell = &self.cell;
+        let cell = self.core.weights_cell();
         let _ = writeln!(out, "generation_current {}", cell.current().number());
         let _ = writeln!(
             out,
@@ -905,28 +846,26 @@ impl Coord<'_, '_> {
         let _ = writeln!(out, "rollbacks_total {}", cell.rollbacks());
         let _ = writeln!(out, "rejected_loads_total {}", cell.rejected_loads());
         let _ = writeln!(out, "quarantined_generations {}", cell.quarantined().len());
-        let queued: usize = self.batcher.queued()
-            + self
-                .ready
-                .iter()
-                .map(|(_, ids, _)| ids.len())
-                .sum::<usize>();
-        let _ = writeln!(out, "queue_depth_full {queued}");
-        let _ = writeln!(out, "executed_batches_full {}", self.executed_batches);
-        let _ = writeln!(out, "executed_requests_full {}", self.executed_requests);
-        match degraded {
-            Some(d) => {
-                let _ = writeln!(out, "queue_depth_degraded {}", d.queued());
-                let _ = writeln!(out, "executed_requests_degraded {}", d.executed_requests());
-            }
-            None => {
-                let _ = writeln!(out, "queue_depth_degraded 0");
-                let _ = writeln!(out, "executed_requests_degraded 0");
-            }
-        }
+        let _ = writeln!(out, "queue_depth_full {}", self.core.queued());
+        let _ = writeln!(
+            out,
+            "executed_batches_full {}",
+            self.core.executed_batches()
+        );
+        let _ = writeln!(
+            out,
+            "executed_requests_full {}",
+            self.core.executed_requests()
+        );
+        let (queued, executed) = self
+            .degraded
+            .as_ref()
+            .map_or((0, 0), |d| (d.queued(), d.executed_requests()));
+        let _ = writeln!(out, "queue_depth_degraded {queued}");
+        let _ = writeln!(out, "executed_requests_degraded {executed}");
         // Ladder position doubles as the breaker state: 0 = closed (full
         // model), 1 = half-open (degraded rung), 2 = open (refusing).
-        let ladder = match breaker.state(t) {
+        let ladder = match self.breaker.state(t) {
             BreakerState::Closed => 0,
             BreakerState::HalfOpen => 1,
             BreakerState::Open => 2,
@@ -935,41 +874,29 @@ impl Coord<'_, '_> {
         let _ = writeln!(
             out,
             "ladder_degraded_configured {}",
-            degraded.is_some() as u8
+            self.degraded.is_some() as u8
         );
-        // The wire pool serves the plain path; the integrity state machine
-        // lives in the cluster layer. The lines stay for snapshot-format
-        // stability.
-        let _ = writeln!(out, "integrity_enabled 0");
-        let _ = writeln!(out, "integrity_detected 0");
-        let _ = writeln!(out, "integrity_recovered 0");
-        let _ = writeln!(out, "integrity_quarantined 0");
-        let _ = writeln!(out, "integrity_escaped 0");
         // Pool counters: deterministic per-stage accounting for the worker
         // pool and the allocation-free steady state.
-        let _ = writeln!(out, "pool_workers {}", self.width);
-        for (w, (batches, requests)) in self
-            .worker_batches
+        let _ = writeln!(out, "pool_workers {}", self.core.width());
+        let per_worker = self
+            .core
+            .worker_batches()
             .iter()
-            .zip(&self.worker_requests)
-            .enumerate()
-        {
+            .zip(self.core.worker_requests());
+        for (w, (batches, requests)) in per_worker.enumerate() {
             let _ = writeln!(out, "pool_worker_{w}_batches {batches}");
             let _ = writeln!(out, "pool_worker_{w}_requests {requests}");
         }
-        let passes: u64 = self.worker_scratch.iter().map(|s| s.passes).sum();
-        let takes: u64 = self.worker_scratch.iter().map(|s| s.arena_takes).sum();
-        let hits: u64 = self.worker_scratch.iter().map(|s| s.arena_hits).sum();
-        let high_water = self
-            .worker_scratch
-            .iter()
-            .map(|s| s.high_water_bytes)
-            .max()
-            .unwrap_or(0);
+        let scratch = &self.worker_scratch;
+        let passes: u64 = scratch.iter().map(|s| s.passes).sum();
+        let takes: u64 = scratch.iter().map(|s| s.arena_takes).sum();
+        let hits: u64 = scratch.iter().map(|s| s.arena_hits).sum();
+        let high_water = scratch.iter().map(|s| s.high_water_bytes).max();
         let _ = writeln!(out, "scratch_passes_total {passes}");
         let _ = writeln!(out, "scratch_arena_takes_total {takes}");
         let _ = writeln!(out, "scratch_arena_hits_total {hits}");
-        let _ = writeln!(out, "scratch_high_water_bytes {high_water}");
+        let _ = writeln!(out, "scratch_high_water_bytes {}", high_water.unwrap_or(0));
         let (pool_takes, pool_hits) = harvest_tensor::scratch::counters();
         let _ = writeln!(out, "tensor_scratch_takes_total {pool_takes}");
         let _ = writeln!(out, "tensor_scratch_hits_total {pool_hits}");
@@ -977,12 +904,13 @@ impl Coord<'_, '_> {
     }
 }
 
-/// The engine thread: a coordinator that owns the graph, the batcher, the
-/// breaker ladder, and the weight-generation cell, plus `engine_workers`
-/// scoped replica executors. It turns channel messages into batcher calls,
-/// dispatches formed batches `seq % width`, merges completions back in
-/// submission order, and guarantees **exactly one** reply per submitted id
-/// (completion, shed, rejection, or typed failure).
+/// The engine thread: drives the [`BatchCore`] at width `engine_workers`
+/// from channel messages — submissions, swaps, drain, and the pool
+/// workers' verdicts — and carries out its events, guaranteeing **exactly
+/// one** reply per submitted id (completion, shed, rejection, or typed
+/// failure). The core owns batching, the weight-generation cell and the
+/// submission-order merge; see [`harvest_serving::core`] for the swap
+/// semantics under the pool.
 ///
 /// Admission runs through a [`CircuitBreaker`] whose ladder is: **closed**
 /// → the full model serves; **half-open** → admitted probes run on the
@@ -990,273 +918,122 @@ impl Coord<'_, '_> {
 /// ones get `503`; **open** → everything gets `503 Retry-After`.
 /// Completions feed the breaker's success EWMA, engine faults feed its
 /// error EWMA.
-///
-/// Swap semantics under the pool: a staged artifact resolves only at the
-/// pool-wide batch boundary (no batch in flight on any worker), the fresh
-/// generation's first batch runs guarded and solo, and a sentinel
-/// violation rolls back and quarantines across all workers before anyone
-/// is answered. Every completion is tagged with the generation that
-/// actually served it.
 fn engine_loop(
     rx: mpsc::Receiver<EngineMsg>,
-    pool_tx: mpsc::Sender<EngineMsg>,
     config: WireConfig,
-    batcher_config: BatcherConfig,
+    batcher: BatcherConfig,
+    graph: Arc<Graph>,
+    pool: Vec<(mpsc::Sender<WorkerMsg>, JoinHandle<()>)>,
     tick: Duration,
+    ready: mpsc::Sender<Result<(), String>>,
 ) {
-    let graph = vit("wire-served", &config.model);
     let seed = config.model_seed;
-    let width = config.engine_workers.max(1);
-    let floor = Duration::from_millis(config.engine_batch_floor_ms);
+    let (workers, handles): (Vec<_>, Vec<_>) = pool.into_iter().unzip();
     let degraded_graph = config
         .degraded_model
         .as_ref()
         .map(|m| vit("wire-degraded", m));
-
-    std::thread::scope(|scope| {
-        let mut worker_txs: Vec<mpsc::Sender<WorkerMsg>> = Vec::with_capacity(width);
-        for w in 0..width {
-            let (wtx, wrx) = mpsc::channel::<WorkerMsg>();
-            worker_txs.push(wtx);
-            let done = pool_tx.clone();
-            let graph = &graph;
-            std::thread::Builder::new()
-                .name(format!("wire-exec-{w}"))
-                .spawn_scoped(scope, move || worker_loop(w, graph, seed, floor, wrx, done))
-                .expect("spawn pool worker");
-        }
-        // Workers hold their own clones; dropping this one means the
-        // channel's liveness tracks the accept loops and the pool only.
-        drop(pool_tx);
-
-        let mut degraded_server = degraded_graph.as_ref().map(|g| {
-            RealBatchServer::new(Executor::new(g, seed ^ 0x0ddu64), batcher_config)
-                .expect("batcher config validated at start()")
-        });
-        let mut breaker = CircuitBreaker::new(config.breaker);
-        let start = Instant::now();
-        let now = |start: &Instant| SimTime::from_nanos(start.elapsed().as_nanos() as u64);
-        let mut coord = Coord {
-            worker_txs: &worker_txs,
-            graph: &graph,
-            swap_guard: ActivationGuard {
-                range_limit: config.swap_guard_range_limit,
-            },
-            width: width as u64,
-            // Bit-identical to every worker's boot weights: same graph,
-            // same seed, same materialization — so generation 0's
-            // fingerprint matches what the workers serve.
-            cell: WeightsCell::new(Arc::new(MaterializedWeights::new(
-                &graph,
-                &WeightStore::new(seed),
-                false,
-            ))),
-            batcher: DynamicBatcher::new(batcher_config)
-                .expect("batcher config validated at start()"),
-            waiting: HashMap::new(),
-            pending: HashMap::new(),
-            ready: VecDeque::new(),
-            done_buf: BTreeMap::new(),
-            next_seq: 0,
-            next_done: 0,
-            in_flight: 0,
-            pending_swap: None,
-            guard_pending: false,
-            guard_inflight: None,
-            drain_requested: false,
-            drained: false,
-            executed_batches: 0,
-            executed_requests: 0,
-            worker_batches: vec![0; width],
-            worker_requests: vec![0; width],
-            worker_scratch: vec![ScratchStats::default(); width],
-        };
-        let mut stop_requested = false;
-
-        loop {
-            coord.pump();
-            if stop_requested
-                && coord.in_flight == 0
-                && coord.ready.is_empty()
-                && coord.pending_swap.is_none()
-            {
-                break;
-            }
-            match rx.recv_timeout(tick) {
-                Ok(EngineMsg::Submit { id, input, reply }) => {
-                    if coord.drained || coord.drain_requested {
-                        let _ = reply.send(WireOutcome::Rejected);
-                        continue;
-                    }
-                    let t = now(&start);
-                    // The ladder: closed → full model; half-open → degraded
-                    // probes; open → explicit refusal.
-                    let use_degraded = match breaker.state(t) {
-                        BreakerState::Closed => false,
-                        BreakerState::HalfOpen if breaker.allow(t) => degraded_server.is_some(),
-                        BreakerState::HalfOpen | BreakerState::Open => {
-                            let _ = reply.send(WireOutcome::BreakerOpen);
-                            continue;
-                        }
-                    };
-                    if use_degraded {
-                        // The degraded rung stays coordinator-local: cheap
-                        // capacity while confidence rebuilds does not need
-                        // the pool.
-                        coord.waiting.insert(
-                            id,
-                            PendingReply {
-                                tx: reply,
-                                submitted: t,
-                                degraded: true,
-                            },
-                        );
-                        let target = degraded_server.as_mut().expect("checked above");
-                        let sub = target.submit(id, input, t);
-                        if !sub.admitted {
-                            if let Some(p) = coord.waiting.remove(&id) {
-                                let _ = p.tx.send(WireOutcome::Rejected);
-                            }
-                        }
-                        let faults = target.take_faults();
-                        deliver(
-                            &mut coord.waiting,
-                            &mut breaker,
-                            t,
-                            sub.completed,
-                            sub.shed,
-                            faults,
-                        );
-                        // A submission may also have pushed the oldest
-                        // request past the delay bound.
-                        let t = now(&start);
-                        let late = target.poll(t);
-                        let faults = target.take_faults();
-                        deliver(
-                            &mut coord.waiting,
-                            &mut breaker,
-                            t,
-                            late,
-                            Vec::new(),
-                            faults,
-                        );
-                    } else {
-                        coord.waiting.insert(
-                            id,
-                            PendingReply {
-                                tx: reply,
-                                submitted: t,
-                                degraded: false,
-                            },
-                        );
-                        let admission = coord.batcher.offer(id, t, t, None);
-                        if admission.admitted {
-                            coord.pending.insert(id, input);
-                        } else if let Some(p) = coord.waiting.remove(&id) {
-                            let _ = p.tx.send(WireOutcome::Rejected);
-                        }
-                        for victim in admission.shed {
-                            // Shed requests never execute: drop the payload.
-                            coord.pending.remove(&victim.id);
-                            if let Some(p) = coord.waiting.remove(&victim.id) {
-                                let _ = p.tx.send(WireOutcome::Shed);
-                            }
-                        }
-                        if let Some(batch) = admission.batch {
-                            coord.form_batch(batch, &mut breaker, t);
-                        }
-                        let t = now(&start);
-                        if let Some(batch) = coord.batcher.poll(t).batch {
-                            coord.form_batch(batch, &mut breaker, t);
-                        }
-                    }
-                }
-                Ok(EngineMsg::WorkerDone(d)) => {
-                    let t = now(&start);
-                    coord.on_done(d, &mut breaker, t);
-                }
-                Ok(EngineMsg::TripBreaker) => {
-                    breaker.force_open(now(&start));
-                }
-                Ok(EngineMsg::Swap { body, reply }) => {
-                    let t = now(&start);
-                    if coord.drained || coord.drain_requested {
-                        let _ = reply.send(SwapOutcome::Draining);
-                        continue;
-                    }
-                    if matches!(breaker.state(t), BreakerState::Open) {
-                        let _ = reply.send(SwapOutcome::BreakerOpen);
-                        continue;
-                    }
-                    // Staged; pump() resolves it at the pool-wide batch
-                    // boundary and replies then.
-                    coord.pending_swap = Some((body, reply));
-                }
-                Ok(EngineMsg::Metrics { reply }) => {
-                    let t = now(&start);
-                    let _ =
-                        reply.send(coord.metrics_text(degraded_server.as_ref(), &mut breaker, t));
-                }
-                Ok(EngineMsg::Drain) => {
-                    let t = now(&start);
-                    for batch in coord.batcher.flush() {
-                        coord.form_batch(batch, &mut breaker, t);
-                    }
-                    if let Some(d) = degraded_server.as_mut() {
-                        let done = d.flush();
-                        let faults = d.take_faults();
-                        deliver(
-                            &mut coord.waiting,
-                            &mut breaker,
-                            t,
-                            done,
-                            Vec::new(),
-                            faults,
-                        );
-                    }
-                    // Stragglers are failed in pump() once the dispatched
-                    // batches come home.
-                    coord.drain_requested = true;
-                }
-                Ok(EngineMsg::Stop) => {
-                    if !coord.drain_requested {
-                        let t = now(&start);
-                        for batch in coord.batcher.flush() {
-                            coord.form_batch(batch, &mut breaker, t);
-                        }
-                        coord.drain_requested = true;
-                    }
-                    stop_requested = true;
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    let t = now(&start);
-                    if let Some(batch) = coord.batcher.poll(t).batch {
-                        coord.form_batch(batch, &mut breaker, t);
-                    }
-                    if let Some(d) = degraded_server.as_mut() {
-                        let done = d.poll(t);
-                        let faults = d.take_faults();
-                        deliver(
-                            &mut coord.waiting,
-                            &mut breaker,
-                            t,
-                            done,
-                            Vec::new(),
-                            faults,
-                        );
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            }
-        }
-
-        // Stop the pool; the scope joins the workers before the engine
-        // thread returns, so `DrainReport::threads_joined` stays
-        // `accept_threads + 1`.
-        for wtx in &worker_txs {
-            let _ = wtx.send(WorkerMsg::Stop);
-        }
+    // Bit-identical to every worker's boot weights: same graph, same seed,
+    // same materialization — so generation 0's fingerprint matches what
+    // the workers serve.
+    let boot = Arc::new(MaterializedWeights::new(
+        &graph,
+        &WeightStore::new(seed),
+        false,
+    ));
+    let built = BatchCore::new(&graph, boot, false, batcher, workers.len()).and_then(|core| {
+        let degraded = degraded_graph
+            .as_ref()
+            .map(|g| RealBatchServer::new(Executor::new(g, seed ^ 0x0ddu64), batcher))
+            .transpose()?;
+        Ok((core, degraded))
     });
+    match built {
+        Err(e) => {
+            let _ = ready.send(Err(e.to_string()));
+            drop(workers);
+        }
+        Ok((mut core, degraded)) => {
+            core.set_swap_guard(ActivationGuard {
+                range_limit: config.swap_guard_range_limit,
+            });
+            let _ = ready.send(Ok(()));
+            let mut engine = Engine {
+                core,
+                worker_scratch: vec![ScratchStats::default(); workers.len()],
+                workers,
+                degraded,
+                breaker: CircuitBreaker::new(config.breaker),
+                waiting: HashMap::new(),
+                swaps: VecDeque::new(),
+                drain_requested: false,
+                drained: false,
+                start: Instant::now(),
+            };
+            serve(&mut engine, &rx, tick);
+            // Stop the pool before joining it below, so
+            // `DrainReport::threads_joined` stays `accept_threads + 1`.
+            for w in &engine.workers {
+                let _ = w.send(WorkerMsg::Stop);
+            }
+        }
+    }
+    // On the error path the worker senders are dropped unused, so every
+    // worker's receive fails and it exits.
+    for handle in handles {
+        let _ = handle.join();
+    }
+}
+
+/// The engine's message loop, until a stop request finds the core idle.
+fn serve(engine: &mut Engine<'_>, rx: &mpsc::Receiver<EngineMsg>, tick: Duration) {
+    let mut stop_requested = false;
+    loop {
+        engine.settle_drain();
+        if stop_requested && engine.core.is_idle() {
+            return;
+        }
+        let msg = rx.recv_timeout(tick);
+        let t = engine.now();
+        match msg {
+            Ok(EngineMsg::Submit { id, input, reply }) => engine.submit(id, input, reply),
+            Ok(EngineMsg::WorkerDone {
+                seq,
+                worker,
+                verdict,
+                scratch,
+            }) => {
+                if let Some(s) = engine.worker_scratch.get_mut(worker) {
+                    *s = scratch;
+                }
+                engine.core.worker_done(seq, verdict);
+            }
+            Ok(EngineMsg::TripBreaker) => engine.breaker.force_open(t),
+            Ok(EngineMsg::Swap { body, reply }) => {
+                if engine.drain_requested {
+                    let _ = reply.send(SwapOutcome::Draining);
+                } else if matches!(engine.breaker.state(t), BreakerState::Open) {
+                    let _ = reply.send(SwapOutcome::BreakerOpen);
+                } else {
+                    // The core verifies and publishes at the pool-wide
+                    // batch boundary; the reply goes out with its verdict.
+                    engine.swaps.push_back(reply);
+                    engine.core.stage_swap(body, None);
+                }
+            }
+            Ok(EngineMsg::Metrics { reply }) => {
+                let _ = reply.send(engine.metrics_text(t));
+            }
+            Ok(EngineMsg::Drain) => engine.drain(t),
+            Ok(EngineMsg::Stop) => {
+                engine.drain(t);
+                stop_requested = true;
+            }
+            Err(mpsc::RecvTimeoutError::Timeout) => engine.poll(t),
+            Err(mpsc::RecvTimeoutError::Disconnected) => return,
+        }
+        engine.route(t);
+    }
 }
 
 /// First maximum wins, so ties are deterministic.
@@ -1437,6 +1214,14 @@ fn serve_connection(
     }
 }
 
+/// How an accepted request resolved: the ledger counter it lands in, the
+/// status, and the JSON body.
+type Answer<'s> = (&'s AtomicU64, u16, String);
+
+fn error_body(message: &str) -> String {
+    format!("{{\"error\":\"{message}\"}}")
+}
+
 /// Answer one accepted request. Returns whether the connection may
 /// continue (false on write failure).
 fn respond(
@@ -1449,100 +1234,81 @@ fn respond(
 ) -> bool {
     let stats = &shared.stats;
     let keep = request.keep_alive;
-    match (request.method, request.path.as_str()) {
+    let (counter, status, body) = match (request.method, request.path.as_str()) {
         (Method::Get, "/healthz") => {
             let draining = shared.draining.load(Ordering::SeqCst);
-            stats.responded_ok.fetch_add(1, Ordering::SeqCst);
             let body = format!("{{\"ok\":true,\"draining\":{draining}}}");
-            send_response(stream, stats, wout, 200, "OK", &[], body.as_bytes(), keep)
+            (&stats.responded_ok, 200, body)
         }
-        (Method::Get, "/metrics") => metrics(stream, wout, request, shared, tx),
-        (Method::Post, "/classify") => classify(stream, wout, request, shared, tx, config),
-        (Method::Post, "/admin/swap") => admin_swap(stream, wout, request, shared, tx),
-        // Known path, wrong method: 405 with the allowed method spelled
-        // out, as RFC 9110 requires.
-        (_, "/healthz") | (_, "/metrics") => {
+        (Method::Get, "/metrics") => return metrics(stream, wout, request, shared, tx),
+        (Method::Post, "/classify") => classify(request, shared, tx, config),
+        (Method::Post, "/admin/swap") => admin_swap(request, shared, tx),
+        (_, path @ ("/healthz" | "/metrics" | "/classify" | "/admin/swap")) => {
+            // Known path, wrong method: 405 with the allowed method spelled
+            // out, as RFC 9110 requires.
+            let allow = match path {
+                "/healthz" | "/metrics" => "GET",
+                _ => "POST",
+            };
             stats.responded_error.fetch_add(1, Ordering::SeqCst);
-            send_response(
-                stream,
-                stats,
-                wout,
-                405,
-                "Method Not Allowed",
-                &[("Allow", "GET")],
-                b"{\"error\":\"method not allowed\"}",
-                keep,
-            )
-        }
-        (_, "/classify") | (_, "/admin/swap") => {
-            stats.responded_error.fetch_add(1, Ordering::SeqCst);
-            send_response(
-                stream,
-                stats,
-                wout,
-                405,
-                "Method Not Allowed",
-                &[("Allow", "POST")],
-                b"{\"error\":\"method not allowed\"}",
-                keep,
-            )
-        }
-        _ => {
-            stats.responded_error.fetch_add(1, Ordering::SeqCst);
-            send_response(
-                stream,
-                stats,
-                wout,
-                404,
-                "Not Found",
-                &[],
-                b"{\"error\":\"not found\"}",
-                keep,
-            )
-        }
-    }
-}
-
-/// The classification path: decode → preprocess → engine round-trip.
-fn classify(
-    stream: &mut TcpStream,
-    wout: &mut Vec<u8>,
-    request: &Request,
-    shared: &Shared,
-    tx: &mpsc::Sender<EngineMsg>,
-    config: &WireConfig,
-) -> bool {
-    let stats = &shared.stats;
-    let keep = request.keep_alive;
-    let retry = [("Retry-After", "1")];
-    if shared.draining.load(Ordering::SeqCst) {
-        stats.rejected.fetch_add(1, Ordering::SeqCst);
-        return send_response(
-            stream,
-            stats,
-            wout,
-            503,
-            "Service Unavailable",
-            &retry,
-            b"{\"error\":\"draining\"}",
-            keep,
-        );
-    }
-    let img = match decode_auto(&request.body) {
-        Ok(img) => img,
-        Err(e) => {
-            stats.responded_error.fetch_add(1, Ordering::SeqCst);
-            let body = format!("{{\"error\":\"bad image: {e}\"}}");
+            let body = error_body("method not allowed");
+            let extra = [("Allow", allow)];
+            let reason = "Method Not Allowed";
             return send_response(
                 stream,
                 stats,
                 wout,
-                422,
-                "Unprocessable Content",
-                &[],
+                405,
+                reason,
+                &extra,
                 body.as_bytes(),
                 keep,
             );
+        }
+        _ => (&stats.responded_error, 404, error_body("not found")),
+    };
+    counter.fetch_add(1, Ordering::SeqCst);
+    let (reason, extra): (&str, &[(&str, &str)]) = match status {
+        200 => ("OK", &[]),
+        404 => ("Not Found", &[]),
+        409 => ("Conflict", &[]),
+        422 => ("Unprocessable Content", &[]),
+        // Every refusal tells the client when to come back.
+        503 => ("Service Unavailable", &[("Retry-After", "1")]),
+        _ => ("Internal Server Error", &[]),
+    };
+    send_response(
+        stream,
+        stats,
+        wout,
+        status,
+        reason,
+        extra,
+        body.as_bytes(),
+        keep,
+    )
+}
+
+/// The classification path: decode → preprocess → engine round-trip.
+fn classify<'s>(
+    request: &Request,
+    shared: &'s Shared,
+    tx: &mpsc::Sender<EngineMsg>,
+    config: &WireConfig,
+) -> Answer<'s> {
+    let stats = &shared.stats;
+    let refuse = |why: &str| (&stats.rejected, 503, error_body(why));
+    if shared.draining.load(Ordering::SeqCst) {
+        return refuse("draining");
+    }
+    let img = match decode_auto(&request.body) {
+        Ok(img) => img,
+        Err(e) => {
+            return (
+                &stats.responded_error,
+                422,
+                error_body(&format!("bad image: {e}")),
+            )
         }
     };
     // In-flight gate (part of the shared ServingLimits contract).
@@ -1555,17 +1321,7 @@ fn classify(
             })
             .is_ok();
         if !admitted {
-            stats.rejected.fetch_add(1, Ordering::SeqCst);
-            return send_response(
-                stream,
-                stats,
-                wout,
-                503,
-                "Service Unavailable",
-                &retry,
-                b"{\"error\":\"overloaded\"}",
-                keep,
-            );
+            return refuse("overloaded");
         }
     }
     let input = preprocess_decoded(&img, config.out_res);
@@ -1598,109 +1354,39 @@ fn classify(
             degraded,
             generation,
         } => {
-            stats.responded_ok.fetch_add(1, Ordering::SeqCst);
             if degraded {
                 stats.degraded_ok.fetch_add(1, Ordering::SeqCst);
             }
             let body = format!(
                 "{{\"class\":{class},\"batch\":{batch},\"degraded\":{degraded},\"generation\":{generation}}}"
             );
-            send_response(stream, stats, wout, 200, "OK", &[], body.as_bytes(), keep)
+            (&stats.responded_ok, 200, body)
         }
         WireOutcome::BreakerOpen => {
-            stats.rejected.fetch_add(1, Ordering::SeqCst);
             stats.breaker_open.fetch_add(1, Ordering::SeqCst);
-            send_response(
-                stream,
-                stats,
-                wout,
-                503,
-                "Service Unavailable",
-                &retry,
-                b"{\"error\":\"breaker open\"}",
-                keep,
-            )
+            refuse("breaker open")
         }
-        WireOutcome::Rejected => {
-            stats.rejected.fetch_add(1, Ordering::SeqCst);
-            send_response(
-                stream,
-                stats,
-                wout,
-                503,
-                "Service Unavailable",
-                &retry,
-                b"{\"error\":\"queue full\"}",
-                keep,
-            )
-        }
-        WireOutcome::Shed => {
-            stats.shed.fetch_add(1, Ordering::SeqCst);
-            send_response(
-                stream,
-                stats,
-                wout,
-                503,
-                "Service Unavailable",
-                &retry,
-                b"{\"error\":\"shed\"}",
-                keep,
-            )
-        }
-        WireOutcome::Failed => {
-            stats.responded_error.fetch_add(1, Ordering::SeqCst);
-            send_response(
-                stream,
-                stats,
-                wout,
-                500,
-                "Internal Server Error",
-                &[],
-                b"{\"error\":\"internal fault\"}",
-                keep,
-            )
-        }
+        WireOutcome::Rejected => refuse("queue full"),
+        WireOutcome::Shed => (&stats.shed, 503, error_body("shed")),
+        WireOutcome::Failed => (&stats.responded_error, 500, error_body("internal fault")),
     }
 }
 
 /// The hot-swap path: stage the artifact body through the engine's
 /// integrity-gated load. One swap stages at a time (`409` for a racing
 /// second one); a draining server or an open breaker answers `503`.
-fn admin_swap(
-    stream: &mut TcpStream,
-    wout: &mut Vec<u8>,
+fn admin_swap<'s>(
     request: &Request,
-    shared: &Shared,
+    shared: &'s Shared,
     tx: &mpsc::Sender<EngineMsg>,
-) -> bool {
+) -> Answer<'s> {
     let stats = &shared.stats;
-    let keep = request.keep_alive;
-    let retry = [("Retry-After", "1")];
     if shared.draining.load(Ordering::SeqCst) {
-        stats.rejected.fetch_add(1, Ordering::SeqCst);
-        return send_response(
-            stream,
-            stats,
-            wout,
-            503,
-            "Service Unavailable",
-            &retry,
-            b"{\"error\":\"draining\"}",
-            keep,
-        );
+        return (&stats.rejected, 503, error_body("draining"));
     }
     if shared.swap_staging.swap(true, Ordering::SeqCst) {
-        stats.responded_error.fetch_add(1, Ordering::SeqCst);
-        return send_response(
-            stream,
-            stats,
-            wout,
-            409,
-            "Conflict",
-            &[],
-            b"{\"error\":\"a swap is already staging\"}",
-            keep,
-        );
+        let body = error_body("a swap is already staging");
+        return (&stats.responded_error, 409, body);
     }
     let (reply_tx, reply_rx) = mpsc::channel();
     let outcome = if tx
@@ -1724,57 +1410,21 @@ fn admin_swap(
             generation,
             fingerprint,
         } => {
-            stats.responded_ok.fetch_add(1, Ordering::SeqCst);
             let body =
                 format!("{{\"generation\":{generation},\"fingerprint\":\"{fingerprint:#018x}\"}}");
-            send_response(stream, stats, wout, 200, "OK", &[], body.as_bytes(), keep)
+            (&stats.responded_ok, 200, body)
         }
-        SwapOutcome::Rejected { error } => {
-            stats.responded_error.fetch_add(1, Ordering::SeqCst);
-            let body = format!("{{\"error\":\"{error}\"}}");
-            send_response(
-                stream,
-                stats,
-                wout,
-                422,
-                "Unprocessable Content",
-                &[],
-                body.as_bytes(),
-                keep,
-            )
-        }
+        SwapOutcome::Rejected { error } => (&stats.responded_error, 422, error_body(&error)),
         SwapOutcome::BreakerOpen => {
-            stats.rejected.fetch_add(1, Ordering::SeqCst);
             stats.breaker_open.fetch_add(1, Ordering::SeqCst);
-            send_response(
-                stream,
-                stats,
-                wout,
-                503,
-                "Service Unavailable",
-                &retry,
-                b"{\"error\":\"breaker open\"}",
-                keep,
-            )
+            (&stats.rejected, 503, error_body("breaker open"))
         }
-        SwapOutcome::Draining => {
-            stats.rejected.fetch_add(1, Ordering::SeqCst);
-            send_response(
-                stream,
-                stats,
-                wout,
-                503,
-                "Service Unavailable",
-                &retry,
-                b"{\"error\":\"draining\"}",
-                keep,
-            )
-        }
+        SwapOutcome::Draining => (&stats.rejected, 503, error_body("draining")),
     }
 }
 
 /// The live metrics snapshot: the engine's half (generations, queues,
-/// breaker, integrity) plus the wire ledger, as deterministic
+/// breaker, pool) plus the wire ledger, as deterministic
 /// `name value` text lines.
 fn metrics(
     stream: &mut TcpStream,
@@ -2202,11 +1852,13 @@ mod tests {
             "rejected_loads_total 1",
             "breaker_state 0",
             "ladder_degraded_configured 1",
-            "integrity_enabled 0",
             "wire_draining 0",
         ] {
             assert!(text.contains(line), "missing {line:?} in:\n{text}");
         }
+        // The wire runs no integrity ladder, so it prints no integrity
+        // lines (no metric line is a hard-coded constant).
+        assert!(!text.contains("integrity_"), "{text}");
 
         let report = server.shutdown();
         assert!(report.stats.conserved(), "{:?}", report.stats);

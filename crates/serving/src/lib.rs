@@ -22,9 +22,13 @@
 //!   node open, half-open probes re-admit it.
 //! * [`overload`] — admission-controlled online serving: bounded queues,
 //!   shed policies, deadline-aware dropping, and goodput accounting.
-//! * [`realexec`] — the batcher driving *actual* host inference: dispatched
-//!   batches run through the batched execution engine and completions carry
-//!   real logits.
+//! * [`core`] — the sans-IO batch/swap core every real-execution front-end
+//!   drives: batching, payload pairing, the weight-generation cell with
+//!   staged swaps, sentinel rollback and generation tagging, worker
+//!   assignment and the submission-order merge.
+//! * [`realexec`] — the core driving *actual* host inference inline:
+//!   dispatched batches run through the batched execution engine and
+//!   completions carry real logits.
 //! * [`limits`] — shared serving limits: the body-size / queue / in-flight
 //!   bounds the wire front-end and the queueing layer must agree on, with
 //!   drift-catching validation (single source of truth).
@@ -43,6 +47,7 @@
 pub mod batcher;
 pub mod breaker;
 pub mod cluster;
+pub mod core;
 pub mod fleet;
 pub mod integrity;
 pub mod limits;
@@ -53,6 +58,7 @@ pub mod resilience;
 pub mod scenario;
 pub mod server;
 
+pub use crate::core::{BatchCore, CoreEvent, RunBatch, Verdict};
 pub use batcher::{BatcherConfig, BatcherConfigError, DynamicBatcher, ShedPolicy};
 pub use breaker::{BreakerBank, BreakerConfig, BreakerState, CircuitBreaker};
 pub use cluster::{

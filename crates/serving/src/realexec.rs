@@ -1,14 +1,15 @@
-//! Real-execution serving: the dynamic batcher driving actual host
+//! Real-execution serving: the batch/swap core driving actual host
 //! inference.
 //!
 //! The simulated pipeline ([`crate::server`]) answers latency questions
 //! against the calibrated performance model; this module closes the loop on
 //! the *computation* side: requests carry real input tensors, the
-//! [`DynamicBatcher`] decides when a batch dispatches (size or delay
-//! trigger, shed policies included), and dispatched batches run through
-//! [`Executor::forward_batch`] — the batched, weight-cached engine — so
-//! every completion carries real logits. One batcher decision layer, two
-//! backends: the DES uses modeled service times, this one does the math.
+//! [`BatchCore`] decides when a batch dispatches (size or delay trigger,
+//! shed policies included) and when a swapped generation serves, and
+//! dispatched batches run inline through [`Executor::forward_batch`] — the
+//! batched, weight-cached engine — so every completion carries real
+//! logits. The wire front-end drives the same core over a pool of
+//! executors.
 //!
 //! Dispatched batches run under the `harvest-threads` work pool (GEMM row
 //! blocks, per-image conv, per-(image, head) attention fan out across
@@ -17,33 +18,17 @@
 //! thread-invariance test below pins this, and the integrity layer's
 //! bit-exact oracle comparisons rely on it.
 
-use crate::batcher::{BatcherConfig, BatcherConfigError, DynamicBatcher, QueuedRequest};
+use crate::batcher::{BatcherConfig, BatcherConfigError};
+use crate::core::{BatchCore, CoreEvent, RunBatch, Verdict};
+pub use crate::core::{Completion, ServeFault};
 use crate::integrity::{IntegrityStats, NodeIntegrity, DETECT_TOL, ESCAPE_TOL};
 use harvest_engine::{
-    decode_artifact_staged, ActivationGuard, ActivationInjection, ArtifactError, Executor,
-    WeightsCell,
+    ActivationGuard, ActivationInjection, ArtifactError, Executor, Generation, WeightsCell,
 };
 use harvest_simkit::SimTime;
 use harvest_tensor::integrity::max_abs_gap;
 use harvest_tensor::Tensor;
-use std::collections::HashMap;
 use std::sync::Arc;
-
-/// A finished request: real logits plus the batch it rode in.
-#[derive(Debug)]
-pub struct Completion {
-    /// Request id.
-    pub id: u64,
-    /// Model output (logits for the zoo's classifiers).
-    pub output: Tensor,
-    /// Size of the dispatched batch this request was part of.
-    pub batch_size: usize,
-    /// Number of the weight generation that served this request. A batch
-    /// in flight when a swap lands finishes on the generation it started
-    /// with; a rolled-back batch is tagged with the generation it was
-    /// re-served on — a quarantined generation's number never appears here.
-    pub generation: u64,
-}
 
 /// Outcome of submitting one request.
 #[derive(Debug, Default)]
@@ -56,89 +41,42 @@ pub struct Submission {
     pub completed: Vec<Completion>,
 }
 
-/// Internal-state skew detected on the serving hot path.
-///
-/// These are "can't happen" conditions — invariants the batcher/payload
-/// bookkeeping is supposed to make impossible. With a wire attached they
-/// must surface as a 500 for the affected request (and a quarantined
-/// attempt for the integrity path), never as a process panic: one skewed
-/// request must not take down every other connection on the box.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ServeFault {
-    /// A dispatched batch referenced a queued id whose payload was missing
-    /// from the pending map. The request cannot execute; its id is reported
-    /// so the frontend can answer it with an explicit error.
-    MissingPayload {
-        /// The orphaned request id.
-        id: u64,
-    },
-    /// An integrity-path attempt finished undetected but carried no
-    /// outputs (the detect/emit bookkeeping skewed). The attempt is treated
-    /// as a detection so the retry/quarantine ladder contains it.
-    IntegrityStateSkew {
-        /// The integrity round (batch counter) in which the skew appeared.
-        round: u64,
-    },
-}
-
-impl std::fmt::Display for ServeFault {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ServeFault::MissingPayload { id } => {
-                write!(f, "dispatched request {id} had no pending payload")
-            }
-            ServeFault::IntegrityStateSkew { round } => {
-                write!(
-                    f,
-                    "integrity round {round}: undetected attempt without outputs"
-                )
-            }
-        }
-    }
-}
-
 /// A serving frontend that batches real inference requests and executes
-/// dispatched batches on the host engine.
+/// dispatched batches on the host engine: the [`BatchCore`] at width 1,
+/// driven with an inline executor.
 pub struct RealBatchServer<'g> {
     exec: Executor<'g>,
-    batcher: DynamicBatcher,
-    pending: HashMap<u64, Tensor>,
-    executed_batches: u64,
-    executed_requests: u64,
+    core: BatchCore<'g, Tensor>,
     /// Integrity state machine (fault injection + detection + recovery);
     /// `None` keeps the plain path, bit-identical to the pre-integrity
     /// server.
     integrity: Option<NodeIntegrity<'g>>,
+    /// The integrity round a retried batch continues.
+    round: u64,
     /// Requests whose batch was quarantined: id + payload, awaiting the
     /// cluster's sibling re-dispatch.
     failed: Vec<(u64, Tensor)>,
     /// Internal-state skews observed on the hot path (see [`ServeFault`]).
     faults: Vec<ServeFault>,
-    /// The double-buffered weight-generation cell: the generation serving
-    /// now plus the retained previous one, with the swap/rollback ledger.
-    cell: WeightsCell,
-    /// Sentinel applied to a fresh generation's first batch on the plain
-    /// (no integrity state machine) path, so a poisoned artifact that
-    /// passed its checksums is rolled back instead of served. `None` keeps
-    /// the plain path bit-identical to the pre-swap server.
-    swap_guard: Option<ActivationGuard>,
 }
 
 impl<'g> RealBatchServer<'g> {
     /// New server over an executor and a batching policy.
     pub fn new(exec: Executor<'g>, config: BatcherConfig) -> Result<Self, BatcherConfigError> {
-        let cell = WeightsCell::new(exec.weights_handle());
+        let core = BatchCore::new(
+            exec.graph(),
+            exec.weights_handle(),
+            exec.int8_linears(),
+            config,
+            1,
+        )?;
         Ok(RealBatchServer {
             exec,
-            batcher: DynamicBatcher::new(config)?,
-            pending: HashMap::new(),
-            executed_batches: 0,
-            executed_requests: 0,
+            core,
             integrity: None,
+            round: 0,
             failed: Vec::new(),
             faults: Vec::new(),
-            cell,
-            swap_guard: None,
         })
     }
 
@@ -183,37 +121,25 @@ impl<'g> RealBatchServer<'g> {
     /// batcher queue and the payload map (test hook for the fault path).
     #[cfg(test)]
     fn drop_payload(&mut self, id: u64) {
-        self.pending.remove(&id);
-    }
-
-    /// The executor backing this server.
-    pub fn executor(&self) -> &Executor<'g> {
-        &self.exec
-    }
-
-    /// Scratch-reuse counters of the backing executor: forward passes
-    /// served, arena takes/hits, high-water pooled bytes. Surfaces in the
-    /// wire `/metrics` endpoint.
-    pub fn scratch_stats(&self) -> harvest_engine::ScratchStats {
-        self.exec.scratch_stats()
+        self.core.drop_payload(id);
     }
 
     /// The weight-generation cell: current/previous generation, swap,
     /// rollback and rejected-load counters, quarantined generations.
     pub fn weights_cell(&self) -> &WeightsCell {
-        &self.cell
+        self.core.weights_cell()
     }
 
     /// Number of the generation currently serving.
     pub fn generation(&self) -> u64 {
-        self.cell.current().number()
+        self.core.weights_cell().current().number()
     }
 
     /// Arm the swap sentinel for the plain path: a freshly published
     /// generation's first batch runs guarded, and a violation rolls the
     /// swap back. The integrity path uses its own detector ladder instead.
     pub fn set_swap_guard(&mut self, guard: ActivationGuard) {
-        self.swap_guard = Some(guard);
+        self.core.set_swap_guard(guard);
     }
 
     /// Verify `bytes` as a weight artifact and, when every check passes,
@@ -226,308 +152,234 @@ impl<'g> RealBatchServer<'g> {
     }
 
     /// [`Self::swap_artifact`] with a simulated loader crash point after
-    /// `crash_after` tensors (see [`decode_artifact_staged`]): the staging
-    /// copy is dropped and the serving generation is untouched.
+    /// `crash_after` tensors (see [`harvest_engine::decode_artifact_staged`]):
+    /// the staging copy is dropped and the serving generation is untouched.
     pub fn swap_artifact_staged(
         &mut self,
         bytes: &[u8],
         crash_after: Option<u64>,
     ) -> Result<u64, ArtifactError> {
-        let decoded = decode_artifact_staged(
-            bytes,
-            self.exec.graph(),
-            self.exec.int8_linears(),
-            crash_after,
-        );
-        match decoded {
-            Ok(w) => {
-                let number = self.cell.publish(Arc::new(w));
-                let weights = self.cell.current().weights();
-                self.exec.install_weights(Arc::clone(&weights));
-                if let Some(intg) = self.integrity.as_mut() {
-                    // The oracle tracks published generations so post-swap
-                    // cross-checks and dispositions compare against the new
-                    // clean weights (its copy is never injection-targeted).
-                    intg.oracle.install_weights(weights);
-                }
-                Ok(number)
-            }
-            Err(e) => {
-                self.cell.record_rejected_load();
-                Err(e)
-            }
+        self.core.stage_swap(bytes.to_vec(), crash_after);
+        match self.settle(&mut Submission::default()) {
+            Some(verdict) => verdict.map(|g| g.number()),
+            // The inline executor returns every batch before the call that
+            // dispatched it does, so the core is always at a batch
+            // boundary and resolves the swap at once.
+            None => unreachable!("inline executor left a batch in flight"),
         }
     }
 
     /// Requests admitted but not yet dispatched.
     pub fn queued(&self) -> usize {
-        self.batcher.queued()
+        self.core.queued()
     }
 
     /// Batches actually executed so far.
     pub fn executed_batches(&self) -> u64 {
-        self.executed_batches
+        self.core.executed_batches()
     }
 
     /// Requests actually executed so far.
     pub fn executed_requests(&self) -> u64 {
-        self.executed_requests
+        self.core.executed_requests()
     }
 
     /// Submit a request. The batcher may reject it (bounded queue), shed
     /// older requests, or dispatch a full batch — in which case the batch
     /// is executed immediately and its completions returned.
     pub fn submit(&mut self, id: u64, input: Tensor, now: SimTime) -> Submission {
-        let admission = self.batcher.offer(id, now, now, None);
         let mut out = Submission {
-            admitted: admission.admitted,
+            admitted: self.core.submit(id, input, now),
             ..Submission::default()
         };
-        if admission.admitted {
-            self.pending.insert(id, input);
-        }
-        for victim in admission.shed {
-            // Shed requests never execute: drop the payload with them.
-            self.pending.remove(&victim.id);
-            out.shed.push(victim.id);
-        }
-        if let Some(batch) = admission.batch {
-            out.completed = self.run_batch(&batch);
-        }
+        self.settle(&mut out);
         out
     }
 
     /// Fire the delay trigger: execute the waiting partial batch if the
     /// oldest request has exceeded the queue-delay bound.
     pub fn poll(&mut self, now: SimTime) -> Vec<Completion> {
-        match self.batcher.poll(now).batch {
-            Some(batch) => self.run_batch(&batch),
-            None => Vec::new(),
-        }
+        self.core.poll(now);
+        let mut out = Submission::default();
+        self.settle(&mut out);
+        out.completed
     }
 
     /// Drain every queued request immediately (end-of-stream flush),
     /// executing the remaining partial batches.
     pub fn flush(&mut self) -> Vec<Completion> {
-        let batches = self.batcher.flush();
-        batches
-            .iter()
-            .flat_map(|batch| self.run_batch(batch))
-            .collect()
+        self.core.flush();
+        let mut out = Submission::default();
+        self.settle(&mut out);
+        out.completed
     }
 
-    fn run_batch(&mut self, batch: &[QueuedRequest]) -> Vec<Completion> {
-        // Pair each queued id with its payload. A queued id without a
-        // payload is bookkeeping skew ("can't happen"): record a typed
-        // fault for the frontend to answer with a 500 and execute the rest
-        // of the batch — one skewed request must not fail its batchmates.
-        let mut ids: Vec<u64> = Vec::with_capacity(batch.len());
-        let mut inputs: Vec<Tensor> = Vec::with_capacity(batch.len());
-        for r in batch {
-            match self.pending.remove(&r.id) {
-                Some(input) => {
-                    ids.push(r.id);
-                    inputs.push(input);
+    /// Drive the core until it has nothing left to say: run dispatched
+    /// batches inline, install published or rolled-back-to weights, and
+    /// collect completions and sheds into `out`. Returns the verdict of a
+    /// swap resolved along the way.
+    fn settle(&mut self, out: &mut Submission) -> Option<Result<Generation, ArtifactError>> {
+        let mut swap = None;
+        while let Some(event) = self.core.next_event() {
+            match event {
+                CoreEvent::Run(dispatch) => {
+                    let seq = dispatch.seq;
+                    let verdict = self.execute(dispatch);
+                    self.core.worker_done(seq, verdict);
                 }
-                None => self.faults.push(ServeFault::MissingPayload { id: r.id }),
+                CoreEvent::Install(weights) => {
+                    self.exec.install_weights(Arc::clone(&weights));
+                    if let Some(intg) = self.integrity.as_mut() {
+                        // The oracle tracks the serving generation so
+                        // cross-checks and dispositions compare against its
+                        // clean weights (its copy is never injection-
+                        // targeted).
+                        intg.oracle.install_weights(weights);
+                    }
+                }
+                CoreEvent::Complete(c) => out.completed.push(c),
+                CoreEvent::Shed(id) => out.shed.push(id),
+                CoreEvent::SwapResolved(verdict) => swap = Some(verdict),
+                CoreEvent::Fault(fault) => self.faults.push(fault),
             }
         }
-        if ids.is_empty() {
-            return Vec::new();
-        }
-        let outputs = if self.integrity.is_some() {
-            match self.run_batch_integrity(&ids, inputs) {
-                Some(outputs) => outputs,
-                // Quarantined: the batch failed, nothing completes.
-                None => return Vec::new(),
-            }
-        } else {
-            self.run_batch_plain(&inputs)
-        };
-        self.executed_batches += 1;
-        self.executed_requests += ids.len() as u64;
-        let batch_size = ids.len();
-        // Tagged after execution: if the batch triggered a rollback it was
-        // re-served on (and is attributed to) the rolled-back-to generation.
-        let generation = self.cell.current().number();
-        ids.iter()
-            .zip(outputs)
-            .map(|(&id, output)| Completion {
-                id,
-                output,
-                batch_size,
-                generation,
-            })
-            .collect()
+        swap
     }
 
-    /// The plain execution path, with one swap hook: when a swap guard is
-    /// armed, a freshly published generation's first batch runs under the
-    /// activation sentinel. A violation means the artifact passed its
-    /// checksums but computes garbage (a poisoned producer): the swap is
-    /// rolled back and the batch re-served on the retained previous
-    /// generation — no request is ever answered from the bad one.
-    fn run_batch_plain(&mut self, inputs: &[Tensor]) -> Vec<Tensor> {
-        if self.cell.is_fresh() {
-            if let Some(guard) = self.swap_guard {
-                let run = self.exec.forward_batch_checked(inputs, Some(&guard), None);
-                if run.violation.is_none() {
-                    self.cell.mark_proven();
-                    return run.outputs;
-                }
-                if self.cell.rollback().is_some() {
-                    self.exec.install_weights(self.cell.current().weights());
-                }
-                return self.exec.forward_batch(inputs);
-            }
-            // No sentinel armed: the batch itself is the proof.
-            self.cell.mark_proven();
-        }
-        self.exec.forward_batch(inputs)
-    }
-
-    /// The integrity state machine for one dispatched batch. Returns the
-    /// outputs to emit, or `None` when the batch was quarantined (its
-    /// requests moved to the failed list).
+    /// Run one dispatched batch.
     ///
-    /// Per batch: inject weight flips (round-keyed, so reruns replay
-    /// identically) → attempt 0: verify checksums, run the guarded forward
-    /// with activation injection, cross-check against the reference path →
-    /// on any detection, re-materialize the weights (re-injecting when the
-    /// fault is sticky — a failing cell, not a transient hit) and retry
-    /// once with fresh activation coins → a second detection quarantines
-    /// the node. Every emitted batch is classified against the clean
-    /// oracle: bit-identical (`clean`), within tolerance (`masked`), or
-    /// materially wrong (`escaped`).
-    fn run_batch_integrity(&mut self, ids: &[u64], inputs: Vec<Tensor>) -> Option<Vec<Tensor>> {
+    /// Without integrity this is the plain path, guarded when the core says
+    /// so: a violation means an artifact that passed its checksums computes
+    /// garbage, and the core rolls it back.
+    ///
+    /// With integrity, each dispatch is one attempt of the state machine. A
+    /// first dispatch injects weight flips (round-keyed, so reruns replay
+    /// identically), verifies checksums, runs the guarded forward with
+    /// activation injection and cross-checks against the reference path.
+    /// A detection is reported as a violation: the core reinstalls pristine
+    /// weights (rolling a fresh generation back first) and re-dispatches
+    /// the batch as a retry, which re-injects when the fault is sticky — a
+    /// failing cell, not a transient hit — and runs the same checks with
+    /// fresh activation coins. A second detection quarantines the node.
+    /// Every emitted batch is classified against the clean oracle:
+    /// bit-identical (`clean`), within tolerance (`masked`), or materially
+    /// wrong (`escaped`).
+    fn execute(&mut self, d: RunBatch) -> Verdict<Tensor> {
+        let RunBatch {
+            seq,
+            inputs,
+            guard,
+            retry,
+            ..
+        } = d;
         let Some(intg) = self.integrity.as_mut() else {
-            // Only reachable if the integrity flag and state drift apart.
-            // Record the skew and serve the batch plainly rather than
-            // panicking or silently dropping it.
-            self.faults.push(ServeFault::IntegrityStateSkew {
-                round: self.executed_batches,
-            });
-            return Some(self.exec.forward_batch(&inputs));
+            return match guard {
+                Some(guard) => {
+                    let run = self.exec.forward_batch_checked(&inputs, Some(&guard), None);
+                    match run.violation {
+                        Some(_) => Verdict::Violation(inputs),
+                        None => Verdict::Outputs(run.outputs),
+                    }
+                }
+                None => Verdict::Outputs(self.exec.forward_batch(&inputs)),
+            };
         };
-        if intg.quarantined {
-            self.failed
-                .extend(ids.iter().copied().zip(inputs.iter().cloned()));
-            return None;
-        }
-        let round = intg.stats.batches;
-        intg.stats.batches += 1;
-        intg.stats.injected_weight_flips += self.exec.inject_weight_flips(&intg.plan, round);
+        let round = if retry {
+            if intg.plan.weight_flips_sticky() {
+                // The failing cell corrupts the fresh copy too: same round
+                // key, identical flips.
+                intg.stats.injected_weight_flips +=
+                    self.exec.inject_weight_flips(&intg.plan, self.round);
+            }
+            self.round
+        } else {
+            if intg.quarantined {
+                let ids = self.core.batch_ids(seq).iter().copied();
+                self.failed.extend(ids.zip(inputs));
+                return Verdict::Abandoned;
+            }
+            let round = intg.stats.batches;
+            intg.stats.batches += 1;
+            intg.stats.injected_weight_flips += self.exec.inject_weight_flips(&intg.plan, round);
+            self.round = round;
+            round
+        };
 
-        let mut detected_once = false;
-        for attempt in 0..=1u32 {
-            let mut detected = intg.config.weight_checksums && self.exec.verify_weights().is_err();
-            let mut outputs = None;
-            if !detected {
-                let inj_ctx = ActivationInjection {
-                    plan: &intg.plan,
-                    batch: round,
-                    attempt,
-                };
-                let inject = intg.plan.corrupts_activations().then_some(&inj_ctx);
-                let run =
-                    self.exec
-                        .forward_batch_checked(&inputs, intg.config.guard.as_ref(), inject);
-                intg.stats.injected_activation_flips += run.activation_flips;
-                if run.violation.is_some() {
-                    detected = true;
-                } else {
-                    outputs = Some(run.outputs);
-                }
-            }
-            if let Some(outs) = &outputs {
-                if intg.config.cross_checks(round) {
-                    if self.cell.current().number() == 0 {
-                        for (x, y) in inputs.iter().zip(outs) {
-                            if self.exec.reference_gap(x, y) > DETECT_TOL {
-                                detected = true;
-                                break;
-                            }
-                        }
-                    } else {
-                        // Swapped generations have no seed-derived reference
-                        // path; cross-check against the oracle executor,
-                        // which tracks published generations and is never
-                        // injection-targeted.
-                        let clean = intg.oracle.forward_batch(&inputs);
-                        for (c, y) in clean.iter().zip(outs) {
-                            if max_abs_gap(c.data(), y.data()) > DETECT_TOL {
-                                detected = true;
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-            if !detected {
-                if let Some(outs) = outputs {
-                    if detected_once {
-                        intg.stats.recovered += 1;
-                    }
-                    // Ground-truth disposition of what we are about to emit.
-                    let clean = intg.oracle.forward_batch(&inputs);
-                    let mut worst = 0.0f32;
-                    let mut bit_identical = true;
-                    for (y, c) in outs.iter().zip(&clean) {
-                        if y.data() != c.data() {
-                            bit_identical = false;
-                            worst = worst.max(max_abs_gap(y.data(), c.data()));
-                        }
-                    }
-                    if bit_identical {
-                        intg.stats.clean += 1;
-                    } else if worst > ESCAPE_TOL {
-                        intg.stats.escaped += 1;
-                    } else {
-                        intg.stats.masked += 1;
-                    }
-                    // The generation carried a batch through the full
-                    // ladder: it has proven itself on live traffic.
-                    self.cell.mark_proven();
-                    return Some(outs);
-                }
-                // An undetected attempt must carry outputs; the detect/emit
-                // bookkeeping skewed. Surface a typed fault and fall through
-                // to the detection ladder (retry, then quarantine) instead
-                // of panicking.
-                self.faults.push(ServeFault::IntegrityStateSkew { round });
-            }
-            if attempt == 0 {
-                detected_once = true;
-                intg.stats.detected += 1;
-                // Recovery has two cases. A freshly published generation
-                // failing its very first checks is a bad artifact that
-                // slipped the load gate: roll back to the retained previous
-                // generation and quarantine it. A proven generation failing
-                // means in-memory corruption: reinstall the pristine bits
-                // of the *same* generation (the cell's copy is never
-                // injection-targeted, thanks to copy-on-write — this is the
-                // rematerialization step).
-                if self.cell.is_fresh() {
-                    self.cell.rollback();
-                }
-                let pristine = self.cell.current().weights();
-                self.exec.install_weights(Arc::clone(&pristine));
-                intg.oracle.install_weights(pristine);
-                if intg.plan.weight_flips_sticky() {
-                    // The failing cell corrupts the fresh copy too: same
-                    // round key, identical flips.
-                    intg.stats.injected_weight_flips +=
-                        self.exec.inject_weight_flips(&intg.plan, round);
-                }
+        let mut detected = intg.config.weight_checksums && self.exec.verify_weights().is_err();
+        let mut outputs = None;
+        if !detected {
+            let inj_ctx = ActivationInjection {
+                plan: &intg.plan,
+                batch: round,
+                attempt: u32::from(retry),
+            };
+            let inject = intg.plan.corrupts_activations().then_some(&inj_ctx);
+            let run = self
+                .exec
+                .forward_batch_checked(&inputs, intg.config.guard.as_ref(), inject);
+            intg.stats.injected_activation_flips += run.activation_flips;
+            if run.violation.is_some() {
+                detected = true;
             } else {
+                outputs = Some(run.outputs);
+            }
+        }
+        if let Some(outs) = &outputs {
+            if intg.config.cross_checks(round) {
+                detected = if self.core.weights_cell().current().number() == 0 {
+                    inputs
+                        .iter()
+                        .zip(outs)
+                        .any(|(x, y)| self.exec.reference_gap(x, y) > DETECT_TOL)
+                } else {
+                    // Swapped generations have no seed-derived reference
+                    // path; cross-check against the oracle executor, which
+                    // tracks published generations and is never
+                    // injection-targeted.
+                    let clean = intg.oracle.forward_batch(&inputs);
+                    clean
+                        .iter()
+                        .zip(outs)
+                        .any(|(c, y)| max_abs_gap(c.data(), y.data()) > DETECT_TOL)
+                };
+            }
+        }
+        match outputs {
+            Some(outs) if !detected => {
+                if retry {
+                    intg.stats.recovered += 1;
+                }
+                // Ground-truth disposition of what we are about to emit.
+                let clean = intg.oracle.forward_batch(&inputs);
+                let mut worst = 0.0f32;
+                let mut bit_identical = true;
+                for (y, c) in outs.iter().zip(&clean) {
+                    if y.data() != c.data() {
+                        bit_identical = false;
+                        worst = worst.max(max_abs_gap(y.data(), c.data()));
+                    }
+                }
+                if bit_identical {
+                    intg.stats.clean += 1;
+                } else if worst > ESCAPE_TOL {
+                    intg.stats.escaped += 1;
+                } else {
+                    intg.stats.masked += 1;
+                }
+                Verdict::Outputs(outs)
+            }
+            _ if !retry => {
+                intg.stats.detected += 1;
+                Verdict::Violation(inputs)
+            }
+            _ => {
                 intg.stats.quarantined += 1;
                 intg.quarantined = true;
-                self.failed
-                    .extend(ids.iter().copied().zip(inputs.iter().cloned()));
-                return None;
+                let ids = self.core.batch_ids(seq).iter().copied();
+                self.failed.extend(ids.zip(inputs));
+                Verdict::Abandoned
             }
         }
-        unreachable!("attempt loop emits or quarantines")
     }
 }
 

@@ -43,6 +43,7 @@ pub use kernel::{
 };
 pub use ops::{add_bias, batchnorm_inference, gelu, layernorm, relu, softmax_rows};
 pub use quant::{
-    dequantize, gemm_i8, gemm_i8_naive, quantize_symmetric, quantized_gemm, QuantizedTensor,
+    dequantize, gemm_i8, gemm_i8_naive, gemm_i8_packed_into, quantize_symmetric, quantized_gemm,
+    PackedI8B, QuantizedTensor,
 };
 pub use tensor::Tensor;

@@ -7,6 +7,7 @@
 //! quantization, an integer GEMM with i32 accumulation, and the
 //! dequantization that recovers approximate f32 results.
 
+use crate::gemm::PAR_THRESHOLD_MACS;
 use rayon::prelude::*;
 
 /// A symmetrically quantized tensor: `f32 ≈ i8 × scale`.
@@ -65,69 +66,123 @@ pub fn gemm_i8_naive(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> Vec<i3
     c
 }
 
+/// The B operand of an integer GEMM, pair-packed once: values from
+/// adjacent k rows are interleaved as two i16 lanes (`[b(2pp, j),
+/// b(2pp+1, j)]`, zero past the last row), which is exactly the operand
+/// shape `pmaddwd` consumes. A weight matrix packs once and then serves
+/// every [`gemm_i8_packed_into`] call; [`gemm_i8`] packs per call.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct PackedI8B {
+    k: usize,
+    n: usize,
+    panel: Vec<i16>,
+}
+
+impl PackedI8B {
+    /// Pack a row-major `k×n` i8 matrix.
+    pub fn pack(b: &[i8], k: usize, n: usize) -> PackedI8B {
+        assert_eq!(b.len(), k * n);
+        let pairs = k.div_ceil(2);
+        let mut panel = vec![0i16; pairs * n * 2];
+        for pp in 0..pairs {
+            let p0 = 2 * pp;
+            let row = &mut panel[pp * n * 2..(pp + 1) * n * 2];
+            for (j, slot) in row.chunks_exact_mut(2).enumerate() {
+                slot[0] = b[p0 * n + j] as i16;
+                slot[1] = if p0 + 1 < k {
+                    b[(p0 + 1) * n + j] as i16
+                } else {
+                    0
+                };
+            }
+        }
+        PackedI8B { k, n, panel }
+    }
+
+    /// Inner dimension.
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
+    /// Output columns.
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// Element `b(p, j)` of the unpacked matrix.
+    #[inline(always)]
+    fn at(&self, p: usize, j: usize) -> i32 {
+        self.panel[(p / 2) * self.n * 2 + 2 * j + (p & 1)] as i32
+    }
+}
+
 /// Integer GEMM: `c[m×n] = a[m×k] · b[k×n]` with i32 accumulation — the
-/// arithmetic INT8 tensor cores perform.
+/// arithmetic INT8 tensor cores perform. Packs B and calls
+/// [`gemm_i8_packed_into`]; callers that reuse B (cached weights) pack it
+/// once with [`PackedI8B::pack`] and call the kernel directly.
+pub fn gemm_i8(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> Vec<i32> {
+    let bp = PackedI8B::pack(b, k, n);
+    let mut c = vec![0i32; m * n];
+    gemm_i8_packed_into(a, &bp, m, &mut c);
+    c
+}
+
+/// Integer GEMM against a pre-packed B, writing every element of the
+/// caller's `c[m×n]` (no zeroing needed, nothing allocated for C).
 ///
-/// On x86-64 this runs a `pmaddwd`-based kernel over pair-packed i16
-/// panels: both operands are widened to i16 and interleaved in adjacent-k
-/// pairs, so one multiply-add instruction retires two k steps for eight
-/// (SSE2), sixteen (AVX2) or thirty-two (AVX512BW) columns at once. SSE2
-/// is baseline on x86-64 so the fast path needs no cargo feature — unlike
-/// the f32 `simd` variant this is *exact* (integer arithmetic, products
-/// ≤ 127², pair sums ≤ 32 258, safe in i32 to k ≈ 130 000), so it cannot
-/// perturb any fingerprint and is simply always on. Wider paths are
-/// runtime-detected. Other architectures use [`gemm_i8_naive`].
+/// On x86-64 this runs a `pmaddwd`-based kernel: A is widened to i16 and
+/// paired like B, so one multiply-add instruction retires two k steps for
+/// eight (SSE2), sixteen (AVX2) or thirty-two (AVX512BW) columns at once.
+/// SSE2 is baseline on x86-64 so the fast path needs no cargo feature —
+/// unlike the f32 `simd` variant this is *exact* (integer arithmetic,
+/// products ≤ 127², pair sums ≤ 32 258, safe in i32 to k ≈ 130 000), so it
+/// cannot perturb any fingerprint and is simply always on. Wider paths are
+/// runtime-detected. Other architectures run a scalar loop over the panel.
 ///
 /// Row blocks of C are processed in parallel for large problems; results
 /// are identical for every split and instruction set.
-pub fn gemm_i8(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> Vec<i32> {
+pub fn gemm_i8_packed_into(a: &[i8], b: &PackedI8B, m: usize, c: &mut [i32]) {
+    let (k, n) = (b.k, b.n);
     assert_eq!(a.len(), m * k);
-    assert_eq!(b.len(), k * n);
-    let mut c = vec![0i32; m * n];
+    assert_eq!(c.len(), m * n);
     if m == 0 || n == 0 || k == 0 {
-        // Nothing to compute, and chunking by 0 columns is ill-defined.
-        return c;
+        // Nothing to accumulate, and chunking by 0 columns is ill-defined.
+        c.fill(0);
+        return;
     }
-    #[cfg(target_arch = "x86_64")]
-    {
-        let bp = x86::pack_b_pairs(b, k, n);
-        let run = |i0: usize, c_rows: &mut [i32]| {
-            let mb = c_rows.len() / n;
-            x86::i8_rows(&a[i0 * k..(i0 + mb) * k], b, &bp, c_rows, mb, k, n);
-        };
-        let threads = rayon::current_num_threads().max(1);
-        if m * n * k < 1 << 18 || m < 2 || threads == 1 {
-            run(0, &mut c);
-        } else {
-            let rows_per_block = m.div_ceil(threads).next_multiple_of(4);
-            c.par_chunks_mut(rows_per_block * n)
-                .enumerate()
-                .for_each(|(blk, c_rows)| run(blk * rows_per_block, c_rows));
-        }
-        c
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let run = |(i, c_row): (usize, &mut [i32])| {
-            let a_row = &a[i * k..(i + 1) * k];
-            for (p, &ap) in a_row.iter().enumerate() {
-                if ap == 0 {
-                    continue;
-                }
-                let ap = ap as i32;
-                let b_row = &b[p * n..(p + 1) * n];
-                for (cj, &bj) in c_row.iter_mut().zip(b_row) {
-                    *cj += ap * bj as i32;
-                }
+    let run = |i0: usize, c_rows: &mut [i32]| {
+        let mb = c_rows.len() / n;
+        let a_rows = &a[i0 * k..(i0 + mb) * k];
+        #[cfg(target_arch = "x86_64")]
+        x86::i8_rows(a_rows, b, c_rows, mb);
+        #[cfg(not(target_arch = "x86_64"))]
+        for (i, c_row) in c_rows.chunks_mut(n).enumerate() {
+            for (j, cj) in c_row.iter_mut().enumerate() {
+                *cj = dot_i8(&a_rows[i * k..(i + 1) * k], b, j);
             }
-        };
-        if m * n * k < 1 << 18 {
-            c.chunks_mut(n).enumerate().for_each(run);
-        } else {
-            c.par_chunks_mut(n).enumerate().for_each(run);
         }
-        c
+    };
+    // Same crossover as the f32 kernels: the pool spawns scoped threads per
+    // region, which costs more than a whole small integer GEMM.
+    let threads = rayon::current_num_threads().max(1);
+    if m * n * k < PAR_THRESHOLD_MACS || m < 2 || threads == 1 {
+        run(0, c);
+    } else {
+        let rows_per_block = m.div_ceil(threads).next_multiple_of(4);
+        c.par_chunks_mut(rows_per_block * n)
+            .enumerate()
+            .for_each(|(blk, c_rows)| run(blk * rows_per_block, c_rows));
     }
+}
+
+/// One exact scalar output element (column tails, and the portable path).
+#[inline(always)]
+fn dot_i8(a_row: &[i8], b: &PackedI8B, j: usize) -> i32 {
+    let mut s = 0i32;
+    for (p, &ap) in a_row.iter().enumerate() {
+        s += ap as i32 * b.at(p, j);
+    }
+    s
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -139,6 +194,7 @@ mod x86 {
     //! lanes — two k steps per instruction, no overflow (|product| ≤ 127²,
     //! pair sum ≤ 32 258 ≪ i32::MAX).
 
+    use super::{dot_i8, PackedI8B};
     use std::arch::x86_64::*;
     use std::sync::OnceLock;
 
@@ -190,27 +246,6 @@ mod x86 {
         _mm512_dpwssd_epi32(acc, a, b)
     }
 
-    /// Pack B (`k×n` i8) into pair-interleaved i16 rows: for pair index
-    /// `pp`, `out[pp·2n + 2j] = b[2pp][j]` and `out[pp·2n + 2j+1] =
-    /// b[2pp+1][j]` (zero when `2pp+1 == k`).
-    pub(super) fn pack_b_pairs(b: &[i8], k: usize, n: usize) -> Vec<i16> {
-        let pairs = k.div_ceil(2);
-        let mut panel = vec![0i16; pairs * n * 2];
-        for pp in 0..pairs {
-            let p0 = 2 * pp;
-            let row = &mut panel[pp * n * 2..(pp + 1) * n * 2];
-            for (j, slot) in row.chunks_exact_mut(2).enumerate() {
-                slot[0] = b[p0 * n + j] as i16;
-                slot[1] = if p0 + 1 < k {
-                    b[(p0 + 1) * n + j] as i16
-                } else {
-                    0
-                };
-            }
-        }
-        panel
-    }
-
     /// Pack a block of A rows into per-row pair words: each u32 holds the
     /// two i16s `[a(i,2pp), a(i,2pp+1)]`, so the kernel's broadcast is a
     /// single 32-bit splat.
@@ -232,37 +267,17 @@ mod x86 {
         panel
     }
 
-    /// One exact scalar output element (used for column tails).
-    #[inline(always)]
-    fn dot_i8(a_row: &[i8], b: &[i8], j: usize, k: usize, n: usize) -> i32 {
-        debug_assert_eq!(a_row.len(), k);
-        let mut s = 0i32;
-        for (p, &ap) in a_row.iter().enumerate() {
-            s += ap as i32 * b[p * n + j] as i32;
-        }
-        s
-    }
-
-    /// Compute `mb` rows of C from a row block of A. `bp` is the
-    /// [`pack_b_pairs`] panel of the full B; `b` is the raw B for scalar
-    /// tails.
-    pub(super) fn i8_rows(
-        a: &[i8],
-        b: &[i8],
-        bp: &[i16],
-        c: &mut [i32],
-        mb: usize,
-        k: usize,
-        n: usize,
-    ) {
-        let ap = pack_a_pairs(a, mb, k);
+    /// Compute `mb` rows of C from a row block of A against the packed B
+    /// (whose panel also serves the scalar column tails).
+    pub(super) fn i8_rows(a: &[i8], b: &PackedI8B, c: &mut [i32], mb: usize) {
+        let ap = pack_a_pairs(a, mb, b.k);
         match path() {
             // Safety: each arm only runs when the matching CPU feature was
             // detected; SSE2 is part of the x86-64 baseline.
-            Path::Vnni => unsafe { rows_vnni(a, b, &ap, bp, c, mb, k, n) },
-            Path::Avx512 => unsafe { rows_avx512(a, b, &ap, bp, c, mb, k, n) },
-            Path::Avx2 => unsafe { rows_avx2(a, b, &ap, bp, c, mb, k, n) },
-            Path::Sse2 => unsafe { rows_sse2(a, b, &ap, bp, c, mb, k, n) },
+            Path::Vnni => unsafe { rows_vnni(a, b, &ap, c, mb) },
+            Path::Avx512 => unsafe { rows_avx512(a, b, &ap, c, mb) },
+            Path::Avx2 => unsafe { rows_avx2(a, b, &ap, c, mb) },
+            Path::Sse2 => unsafe { rows_sse2(a, b, &ap, c, mb) },
         }
     }
 
@@ -272,18 +287,9 @@ mod x86 {
     macro_rules! i8_kernel {
         ($name:ident, $cols:expr, $vec:ty, $load:ident, $set1:ident, $mac:ident, $zero:ident, $store:ident $(, $feat:literal)?) => {
             $(#[target_feature(enable = $feat)])?
-            #[allow(clippy::too_many_arguments)]
-            unsafe fn $name(
-                a: &[i8],
-                b: &[i8],
-                ap: &[i32],
-                bp: &[i16],
-                c: &mut [i32],
-                mb: usize,
-                k: usize,
-                n: usize,
-            ) {
+            unsafe fn $name(a: &[i8], b: &PackedI8B, ap: &[i32], c: &mut [i32], mb: usize) {
                 const COLS: usize = $cols;
+                let (k, n, bp) = (b.k, b.n, &b.panel[..]);
                 let pairs = k.div_ceil(2);
                 let mut i = 0;
                 while i + 4 <= mb {
@@ -335,7 +341,7 @@ mod x86 {
                     }
                     while j < n {
                         for r in 0..4 {
-                            c[(i + r) * n + j] = dot_i8(&a[(i + r) * k..(i + r + 1) * k], b, j, k, n);
+                            c[(i + r) * n + j] = dot_i8(&a[(i + r) * k..(i + r + 1) * k], b, j);
                         }
                         j += 1;
                     }
@@ -354,7 +360,7 @@ mod x86 {
                         j += COLS;
                     }
                     while j < n {
-                        c[i * n + j] = dot_i8(&a[i * k..(i + 1) * k], b, j, k, n);
+                        c[i * n + j] = dot_i8(&a[i * k..(i + 1) * k], b, j);
                         j += 1;
                     }
                     i += 1;
@@ -541,6 +547,22 @@ mod tests {
                 gemm_i8_naive(&a, &b, m, k, n),
                 "({m},{k},{n})"
             );
+        }
+    }
+
+    #[test]
+    fn packed_into_overwrites_the_callers_buffer_exactly() {
+        // One packing serves repeated calls, and every element of a dirty
+        // output buffer is written — no zeroing contract on the caller.
+        let (m, k, n) = (13, 31, 37);
+        let b = rand_i8(k * n, 5);
+        let bp = PackedI8B::pack(&b, k, n);
+        assert_eq!((bp.k(), bp.n()), (k, n));
+        let mut c = vec![i32::MIN; m * n];
+        for seed in [6, 7] {
+            let a = rand_i8(m * k, seed);
+            gemm_i8_packed_into(&a, &bp, m, &mut c);
+            assert_eq!(c, gemm_i8_naive(&a, &b, m, k, n), "seed {seed}");
         }
     }
 
