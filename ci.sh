@@ -257,7 +257,7 @@ echo "== simd: bench smoke determinism =="
 # are host-dependent (FMA bits differ from scalar bits by design), so they
 # are not pinned to a committed file; instead two fresh runs must agree
 # byte for byte, and every committed scalar fingerprint must still appear
-# (the scalar/unrolled rows may not move even with SIMD compiled in).
+# (the scalar rows may not move even with SIMD compiled in).
 cargo build --offline --release -p harvest-bench --features simd
 ./target/release/experiments tune --smoke --json "$smoke_dir"
 HARVEST_TUNE="$smoke_dir/TUNE.json" ./target/release/experiments bench --smoke --json "$smoke_dir"

@@ -1139,14 +1139,26 @@ fn serve(save: &dyn Fn(&str, String), smoke: bool) {
 fn bench(save: &dyn Fn(&str, String), smoke: bool) {
     println!("== Extension: measured execution performance (batched engine vs per-image seed) ==");
     let report = exp::bench(smoke);
-    // The timing gate lives here, not in the runner the unit tests call.
+    // The timing gates live here, not in the runner the unit tests call:
+    // INT8 over f32 in both modes, and in full runs the ViT-Tiny batching
+    // floor and the event-core floor, each side the median of N runs.
     match exp::int8_speed_gate(smoke) {
         Ok(line) => println!("int8 speed gate: {line}"),
         Err(e) => panic!("{e}"),
     }
+    if !smoke {
+        match exp::vit_tiny_speedup_gate(5) {
+            Ok(line) => println!("batching gate: {line}"),
+            Err(e) => panic!("{e}"),
+        }
+        match exp::calendar_speed_gate(3) {
+            Ok(line) => println!("event-core gate: {line}"),
+            Err(e) => panic!("{e}"),
+        }
+    }
     // Self-checks beyond the ones inside the runner (tolerance, same-run
-    // determinism, full-mode speedup floor): a full second run must
-    // reproduce every logits fingerprint bit for bit.
+    // determinism): a full second run must reproduce every logits
+    // fingerprint bit for bit.
     let rerun = exp::bench(smoke);
     for (a, b) in report.models.iter().zip(&rerun.models) {
         assert_eq!(
@@ -1248,7 +1260,7 @@ fn tune(save: &dyn Fn(&str, String), smoke: bool) {
         .entries
         .iter()
         .map(|e| {
-            let marker = if e.shape == report.best {
+            let marker = if Some(e.shape) == report.best {
                 " <- best"
             } else {
                 ""
@@ -1257,10 +1269,13 @@ fn tune(save: &dyn Fn(&str, String), smoke: bool) {
         })
         .collect();
     println!("{}", text_table(&["Micro-shape", "GFLOP/s"], &tab));
-    println!(
-        "  best: {} at {size}x{size}x{size} (best of {reps} reps per shape)",
-        report.best.name()
-    );
+    match report.best {
+        Some(best) => println!(
+            "  best: {} at {size}x{size}x{size} (best of {reps} reps per shape)",
+            best.name()
+        ),
+        None => println!("  no SIMD micro-shape runs on this build/host; Simd serves Scalar"),
+    }
     save("TUNE", report.to_json());
 }
 

@@ -20,7 +20,10 @@ pub mod table1;
 pub mod table2;
 pub mod table3;
 
-pub use bench::{bench, int8_speed_gate, BenchEventCore, BenchKernel, BenchModel, BenchReport};
+pub use bench::{
+    bench, calendar_speed_gate, int8_speed_gate, vit_tiny_speedup_gate, BenchEventCore,
+    BenchKernel, BenchModel, BenchReport,
+};
 pub use fig4::{fig4, Fig4Dataset};
 pub use fig5::{fig5, Fig5Platform, Fig5Point, Fig5Series};
 pub use fig6::{fig6, Fig6Platform, Fig6Point, Fig6Series};

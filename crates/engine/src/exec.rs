@@ -722,9 +722,9 @@ pub struct Executor<'g> {
     /// `last_use[i]` = topological index of node `i`'s final consumer
     /// (`usize::MAX` for the output, which must outlive the pass).
     last_use: Vec<usize>,
-    /// GEMM implementation for the batched path (f32 matmuls, im2col conv,
-    /// attention cores). `Scalar`/`Unrolled` are bit-identical; `Simd`
-    /// carries its own pinned fingerprints. The reference path and the INT8
+    /// GEMM rounding contract for the batched path (f32 matmuls, im2col
+    /// conv, attention cores). `Scalar` carries the committed fingerprints;
+    /// `Simd` carries its own pins. The reference path and the INT8
     /// integer kernels are variant-independent.
     kernel_variant: KernelVariant,
     /// Persistent forward-pass scratch (arena + value table). Behind a
@@ -820,9 +820,10 @@ impl<'g> Executor<'g> {
 
     /// Select which GEMM kernel variant services the batched path. The
     /// default is [`KernelVariant::Scalar`], whose outputs every committed
-    /// fingerprint artifact is pinned against; [`KernelVariant::Unrolled`]
-    /// is bit-identical to it, and [`KernelVariant::Simd`] (behind the
-    /// `simd` feature + runtime CPU detection) has its own pins.
+    /// fingerprint artifact is pinned against (served from AVX-512 register
+    /// tiles where the host has them, bit for bit);
+    /// [`KernelVariant::Simd`] (behind the `simd` feature + runtime CPU
+    /// detection) has its own pins.
     pub fn with_kernel_variant(mut self, variant: KernelVariant) -> Self {
         self.kernel_variant = variant;
         self
@@ -2047,28 +2048,12 @@ mod tests {
     }
 
     #[test]
-    fn unrolled_variant_logits_bit_identical_to_scalar() {
-        // The Unrolled kernel keeps the scalar accumulation contract, so a
-        // whole-model forward (patch-embed conv, attention cores, linears)
-        // must agree with the default executor bit for bit.
-        let g = small_vit();
-        let scalar = Executor::new(&g, 11);
-        let unrolled = Executor::new(&g, 11).with_kernel_variant(KernelVariant::Unrolled);
-        let x = Tensor::random(&[3, 16, 16], 5, 1.0);
-        let a = scalar.forward(&x);
-        let b = unrolled.forward(&x);
-        for (i, (va, vb)) in a.data().iter().zip(b.data()).enumerate() {
-            assert_eq!(va.to_bits(), vb.to_bits(), "logit {i}: {va} vs {vb}");
-        }
-    }
-
-    #[test]
     fn simd_variant_logits_match_scalar_closely() {
         // Simd reassociates the k-loop (FMA, register accumulation), so
         // bit-identity to Scalar is not expected — but whole-model logits
         // must stay numerically indistinguishable for classification.
         // Without the `simd` feature (or on hosts without AVX2+FMA) the
-        // variant falls back to Unrolled and this still holds trivially.
+        // variant falls back to Scalar and this still holds trivially.
         let g = small_vit();
         let scalar = Executor::new(&g, 11);
         let simd = Executor::new(&g, 11).with_kernel_variant(KernelVariant::Simd);

@@ -168,8 +168,8 @@ pub fn conv2d_into(
 }
 
 /// [`conv2d_into`] with the im2col GEMM serviced by an explicit
-/// [`KernelVariant`]. `Scalar` and `Unrolled` are bit-identical; `Simd`
-/// carries its own fingerprint pin (see `kernel` module docs).
+/// [`KernelVariant`]. `Scalar` carries the committed fingerprints; `Simd`
+/// carries its own pin (see `kernel` module docs).
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_into_v(
     variant: KernelVariant,

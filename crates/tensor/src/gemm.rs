@@ -4,16 +4,23 @@
 //!
 //! * [`gemm_naive`] — triple loop, the correctness oracle for tests.
 //! * [`gemm_blocked`] — cache-blocked (MC×KC×NC) single-threaded kernel with
-//!   an unrolled inner loop over packed panels.
+//!   a 4-way unrolled k loop. Its per-element rounding sequence is the
+//!   contract every committed logit fingerprint pins, and it is the oracle
+//!   the fast path is tested against.
 //! * [`gemm`] — the production entry point: rayon-parallel over row blocks of
-//!   C, each block running the blocked kernel. Falls back to the blocked
-//!   kernel for small problems where fork/join overhead would dominate.
+//!   C (one block for small problems where fork/join overhead would
+//!   dominate). Each block runs AVX-512F register tiles (`avx512`, always
+//!   compiled, chosen at run time) when the host has AVX-512F, and the
+//!   blocked kernel otherwise; both produce [`gemm_blocked`]'s bits.
 //!
 //! The same routine doubles as the *host side* of Table 1: the GEMM FLOPS
 //! microbenchmark in `harvest-hw` runs this kernel to produce a practical-
 //! vs-theoretical efficiency figure for the machine the reproduction runs on.
 
 use rayon::prelude::*;
+
+#[cfg(target_arch = "x86_64")]
+mod avx512;
 
 /// Cache-block sizes. Chosen for typical x86-64 L1/L2; correctness does not
 /// depend on them, and perf only weakly (the benches sweep them).
@@ -171,7 +178,8 @@ fn gemm_blocked_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: 
 }
 
 /// Production GEMM: parallel over row blocks of `C` when the problem is big
-/// enough to amortize fork/join, otherwise the blocked kernel.
+/// enough to amortize fork/join, otherwise one block. Bit-identical to
+/// [`gemm_blocked`] for every shape, thread count and host.
 pub fn gemm(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     check_dims(a, b, c, m, k, n);
     // Explicit degenerate-dimension guards. The blocked kernel handles all
@@ -187,8 +195,7 @@ pub fn gemm(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
         return;
     }
     if m * n * k < PAR_THRESHOLD_MACS || m < 2 {
-        c.fill(0.0);
-        gemm_blocked_acc(a, b, c, m, k, n);
+        gemm_rows(a, b, c, m, k, n);
         return;
     }
     // Each worker owns a disjoint row block of C — data-race freedom by
@@ -203,27 +210,42 @@ pub fn gemm(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
         .for_each(|(blk, c_block)| {
             let i0 = blk * rows_per_block;
             let mb = c_block.len() / n;
-            c_block.fill(0.0);
-            gemm_blocked_acc(&a[i0 * k..(i0 + mb) * k], b, c_block, mb, k, n);
+            gemm_rows(&a[i0 * k..(i0 + mb) * k], b, c_block, mb, k, n);
         });
+}
+
+/// One row block of `C = A·B`, overwriting `c`: the AVX-512F register
+/// tiles when the host has AVX-512F, the blocked kernel everywhere else.
+/// Both compute every element with the same rounding sequence, so which
+/// one ran never shows in the bits.
+fn gemm_rows(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    #[cfg(target_arch = "x86_64")]
+    if avx512::supported() {
+        return avx512::gemm_rows(a, b, c, m, k, n);
+    }
+    c.fill(0.0);
+    gemm_blocked_acc(a, b, c, m, k, n);
 }
 
 /// `c = a · bᵀ` where `b` is stored row-major as `n×k` — the layout linear
 /// layers use (`weight[out][in]`).
 ///
-/// Packs the transpose of `b_t` into a scratch buffer and runs the blocked
-/// [`gemm`] kernel. The O(k·n) pack is noise next to the O(m·k·n) multiply,
-/// and the packed path runs ~7× faster than the per-(i,j) scalar dot
-/// products this function used to do: those walked `b_t` column-wise with a
-/// single accumulator stream, while the micro-kernel streams four output
-/// rows per B-panel pass.
+/// Packs the transpose of `b_t` into a scratch buffer and runs [`gemm`].
+/// The O(k·n) pack is noise next to the O(m·k·n) multiply, and the packed
+/// layout lets the kernels stream several output rows per pass over B.
 ///
-/// Bit-compatibility with the old scalar path (and hence with every
-/// committed logit fingerprint): both accumulate each `c[i][j]` over `p` in
-/// strictly increasing order, in the same left-associative 4-way groups
-/// (`KC` is a multiple of 4, so panel boundaries never split a group), with
-/// a single-add tail and f32 rounding after every operation. Register vs
-/// memory accumulation does not change the rounding sequence.
+/// The bits cannot move: every committed logit fingerprint was produced
+/// under this rounding contract. Each `c[i][j]` starts at +0.0 and
+/// accumulates over `p` in strictly increasing order, in left-associative
+/// 4-term groups `c + (((x0·b0 + x1·b1) + x2·b2) + x3·b3)` (`KC` is a
+/// multiple of 4, so the blocked kernel's panel boundaries never split a
+/// group), then single steps for the `k % 4` tail, with f32 rounding after
+/// every multiply and every add. On hosts with AVX-512F the contract is
+/// served by register tiles that hold C across the whole k extent with
+/// separate `mul`/`add` instructions (never FMA) under the default MXCSR;
+/// elsewhere by the blocked kernel, which reloads C once per group. Where C
+/// lives does not change the rounding sequence. (The portable 8-lane
+/// `Unrolled` variant that once served the same contract is gone.)
 pub fn gemm_bt(a: &[f32], b_t: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k, "a is {m}x{k}");
     assert_eq!(b_t.len(), n * k, "b_t is {n}x{k}");

@@ -38,9 +38,7 @@ pub use image::{
     Homography,
 };
 pub use integrity::{checksum_bytes, checksum_f32, flip_bit_in, max_abs_gap, scan_f32, ScanReport};
-pub use kernel::{
-    gemm_bt_v, gemm_fma_oracle, gemm_unrolled, gemm_v, gemm_with_shape, KernelVariant,
-};
+pub use kernel::{gemm_bt_v, gemm_fma_oracle, gemm_v, gemm_with_shape, KernelVariant};
 pub use ops::{add_bias, batchnorm_inference, gelu, layernorm, relu, softmax_rows};
 pub use quant::{
     dequantize, gemm_i8, gemm_i8_naive, gemm_i8_packed_into, quantize_symmetric, quantized_gemm,

@@ -246,25 +246,31 @@ mod x86 {
         _mm512_dpwssd_epi32(acc, a, b)
     }
 
-    /// Pack a block of A rows into per-row pair words: each u32 holds the
-    /// two i16s `[a(i,2pp), a(i,2pp+1)]`, so the kernel's broadcast is a
-    /// single 32-bit splat.
-    fn pack_a_pairs(a: &[i8], mb: usize, k: usize) -> Vec<i32> {
+    /// Widen a block of A rows to i16, each row padded to an even length
+    /// (`2·pairs`, zero past k). Read as little-endian 32-bit words, row
+    /// `i` word `pp` is the pair `[a(i,2pp), a(i,2pp+1)]`, so the kernel's
+    /// broadcast is a single 32-bit splat ([`pair_word`]). Packing is a
+    /// plain widening loop so that it vectorizes: at 64³ a scalar pack
+    /// costs more than the GEMM itself.
+    fn pack_a_pairs(a: &[i8], mb: usize, k: usize) -> Vec<i16> {
         let pairs = k.div_ceil(2);
-        let mut panel = vec![0i32; mb * pairs];
-        for (i, row) in panel.chunks_exact_mut(pairs).enumerate() {
-            for (pp, word) in row.iter_mut().enumerate() {
-                let p0 = 2 * pp;
-                let lo = a[i * k + p0] as i16 as u16 as u32;
-                let hi = if p0 + 1 < k {
-                    a[i * k + p0 + 1] as i16 as u16 as u32
-                } else {
-                    0
-                };
-                *word = (lo | (hi << 16)) as i32;
+        let mut panel = vec![0i16; mb * 2 * pairs];
+        for (row, a_row) in panel.chunks_exact_mut(2 * pairs).zip(a.chunks_exact(k)) {
+            for (w, &v) in row.iter_mut().zip(a_row) {
+                *w = v as i16;
             }
         }
         panel
+    }
+
+    /// Pair word `pp` of a packed A row starting at `row`.
+    ///
+    /// # Safety
+    /// `row` must point at a packed row (see [`pack_a_pairs`]) with
+    /// `pp < pairs`.
+    #[inline(always)]
+    unsafe fn pair_word(row: *const i16, pp: usize) -> i32 {
+        row.add(2 * pp).cast::<i32>().read_unaligned()
     }
 
     /// Compute `mb` rows of C from a row block of A against the packed B
@@ -287,7 +293,7 @@ mod x86 {
     macro_rules! i8_kernel {
         ($name:ident, $cols:expr, $vec:ty, $load:ident, $set1:ident, $mac:ident, $zero:ident, $store:ident $(, $feat:literal)?) => {
             $(#[target_feature(enable = $feat)])?
-            unsafe fn $name(a: &[i8], b: &PackedI8B, ap: &[i32], c: &mut [i32], mb: usize) {
+            unsafe fn $name(a: &[i8], b: &PackedI8B, ap: &[i16], c: &mut [i32], mb: usize) {
                 const COLS: usize = $cols;
                 let (k, n, bp) = (b.k, b.n, &b.panel[..]);
                 let pairs = k.div_ceil(2);
@@ -298,11 +304,11 @@ mod x86 {
                     // checked indexes per k-pair cost ~25 % of the kernel.
                     // In bounds by construction: pp < pairs and each row
                     // slice of `ap` is `pairs` words long.
-                    let a_rows: [*const i32; 4] = [
-                        ap.as_ptr().add(i * pairs),
-                        ap.as_ptr().add((i + 1) * pairs),
-                        ap.as_ptr().add((i + 2) * pairs),
-                        ap.as_ptr().add((i + 3) * pairs),
+                    let a_rows: [*const i16; 4] = [
+                        ap.as_ptr().add(i * 2 * pairs),
+                        ap.as_ptr().add((i + 1) * 2 * pairs),
+                        ap.as_ptr().add((i + 2) * 2 * pairs),
+                        ap.as_ptr().add((i + 3) * 2 * pairs),
                     ];
                     let mut j = 0;
                     while j + 2 * COLS <= n {
@@ -312,7 +318,7 @@ mod x86 {
                             let bva = $load(bpp as *const $vec);
                             let bvb = $load(bpp.add(COLS * 2) as *const $vec);
                             for (r, acc_r) in acc.iter_mut().enumerate() {
-                                let av = $set1(*a_rows[r].add(pp));
+                                let av = $set1(pair_word(a_rows[r], pp));
                                 acc_r[0] = $mac(acc_r[0], av, bva);
                                 acc_r[1] = $mac(acc_r[1], av, bvb);
                             }
@@ -331,7 +337,7 @@ mod x86 {
                         for pp in 0..pairs {
                             let bv = $load(bp.as_ptr().add(pp * n * 2 + 2 * j) as *const $vec);
                             for (r, acc_r) in acc.iter_mut().enumerate() {
-                                *acc_r = $mac(*acc_r, $set1(*a_rows[r].add(pp)), bv);
+                                *acc_r = $mac(*acc_r, $set1(pair_word(a_rows[r], pp)), bv);
                             }
                         }
                         for (r, acc_r) in acc.iter().enumerate() {
@@ -348,13 +354,13 @@ mod x86 {
                     i += 4;
                 }
                 while i < mb {
-                    let a_row = &ap[i * pairs..(i + 1) * pairs];
+                    let a_row = ap.as_ptr().add(i * 2 * pairs);
                     let mut j = 0;
                     while j + COLS <= n {
                         let mut acc = $zero();
-                        for (pp, &aw) in a_row.iter().enumerate() {
+                        for pp in 0..pairs {
                             let bv = $load(bp.as_ptr().add(pp * n * 2 + 2 * j) as *const $vec);
-                            acc = $mac(acc, $set1(aw), bv);
+                            acc = $mac(acc, $set1(pair_word(a_row, pp)), bv);
                         }
                         $store(c.as_mut_ptr().add(i * n + j) as *mut $vec, acc);
                         j += COLS;

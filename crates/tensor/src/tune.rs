@@ -15,9 +15,10 @@
 //! fingerprint. That invariant is what lets CI demand byte-identical bench
 //! reruns while the tuner stays timing-based.
 //!
-//! On builds without the `simd` feature the search space degenerates to
-//! [`MicroShape::Unrolled`] — the tuner still runs and still round-trips
-//! its artifact, it just has nothing to choose between.
+//! On builds without the `simd` feature (or hosts without AVX2+FMA) the
+//! search space is empty: the tuner still runs and still round-trips its
+//! artifact (`"best": null`), it just has nothing to choose between, and
+//! the `Simd` variant serves the `Scalar` contract instead.
 
 use crate::kernel;
 use std::sync::RwLock;
@@ -26,8 +27,6 @@ use std::time::Instant;
 /// A candidate micro-kernel shape for the `Simd` GEMM variant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MicroShape {
-    /// The safe-Rust unrolled kernel (always available; scalar bits).
-    Unrolled,
     /// AVX2+FMA register tile of `mr` rows × `nrv` 8-lane vectors.
     Fma {
         /// Rows of C per register tile.
@@ -40,11 +39,9 @@ pub enum MicroShape {
 }
 
 impl MicroShape {
-    /// Stable artifact/CLI name, e.g. `avx2_6x16`, `avx512_8x32`,
-    /// `unrolled`.
+    /// Stable artifact/CLI name, e.g. `avx2_6x16`, `avx512_8x32`.
     pub fn name(self) -> String {
         match self {
-            MicroShape::Unrolled => "unrolled".to_string(),
             MicroShape::Fma { mr, nrv } => format!("avx2_{mr}x{}", nrv * 8),
             MicroShape::Avx512 => "avx512_8x32".to_string(),
         }
@@ -52,9 +49,6 @@ impl MicroShape {
 
     /// Inverse of [`MicroShape::name`].
     pub fn parse(s: &str) -> Option<MicroShape> {
-        if s == "unrolled" {
-            return Some(MicroShape::Unrolled);
-        }
         if s == "avx512_8x32" {
             return Some(MicroShape::Avx512);
         }
@@ -68,11 +62,12 @@ impl MicroShape {
     }
 }
 
-/// Candidate shapes runnable on this build + host. `Unrolled` is always
-/// first; AVX2 shapes cover the register-budget frontier (mr·nrv ≤ 12 of
-/// 16 ymm registers, leaving room for B vectors and the broadcast).
+/// Candidate shapes runnable on this build + host (empty without the
+/// `simd` feature or AVX2+FMA). AVX2 shapes cover the register-budget
+/// frontier (mr·nrv ≤ 12 of 16 ymm registers, leaving room for B vectors
+/// and the broadcast).
 pub fn search_space() -> Vec<MicroShape> {
-    let mut space = vec![MicroShape::Unrolled];
+    let mut space = Vec::new();
     if kernel::KernelVariant::simd_supported() {
         for (mr, nrv) in [(3, 4), (4, 2), (4, 3), (6, 2), (8, 1)] {
             space.push(MicroShape::Fma { mr, nrv });
@@ -86,14 +81,13 @@ pub fn search_space() -> Vec<MicroShape> {
 
 /// The shape [`active_shape`] falls back to before any tuning ran: the
 /// widest unit the host supports (a good prior — the tuner exists to beat
-/// it, not to be required for correctness).
+/// it, not to be required for correctness). On builds or hosts that cannot
+/// run either, [`kernel::gemm_with_shape`] serves it as `Scalar`.
 pub fn default_shape() -> MicroShape {
     if kernel::avx512_supported() {
         MicroShape::Avx512
-    } else if kernel::KernelVariant::simd_supported() {
-        MicroShape::Fma { mr: 6, nrv: 2 }
     } else {
-        MicroShape::Unrolled
+        MicroShape::Fma { mr: 6, nrv: 2 }
     }
 }
 
@@ -133,8 +127,8 @@ pub struct TuneReport {
     pub reps: usize,
     /// All candidates with their throughput, in search-space order.
     pub entries: Vec<TuneEntry>,
-    /// The winning shape.
-    pub best: MicroShape,
+    /// The winning shape; `None` when the search space is empty.
+    pub best: Option<MicroShape>,
 }
 
 /// Time every candidate in [`search_space`] on a `size³` GEMM (best of
@@ -162,8 +156,7 @@ pub fn tune(size: usize, reps: usize) -> TuneReport {
     let best = entries
         .iter()
         .max_by(|x, y| x.gflops.total_cmp(&y.gflops))
-        .expect("search space is never empty")
-        .shape;
+        .map(|e| e.shape);
     TuneReport {
         size,
         reps,
@@ -188,12 +181,16 @@ impl TuneReport {
             ));
         }
         out.push_str("  ],\n");
-        out.push_str(&format!("  \"best\": \"{}\"\n}}\n", self.best.name()));
+        match self.best {
+            Some(best) => out.push_str(&format!("  \"best\": \"{}\"\n}}\n", best.name())),
+            None => out.push_str("  \"best\": null\n}\n"),
+        }
         out
     }
 }
 
-/// Extract the winning shape from artifact text (the `"best"` field).
+/// Extract the winning shape from artifact text (the `"best"` field);
+/// `None` when it is `null` or unparseable.
 pub fn parse_artifact(text: &str) -> Option<MicroShape> {
     let idx = text.find("\"best\"")?;
     let rest = &text[idx + "\"best\"".len()..];
@@ -230,18 +227,19 @@ mod tests {
             assert_eq!(MicroShape::parse(&shape.name()), Some(shape));
         }
         // Shapes beyond this host's search space still round-trip.
-        for s in ["avx2_6x16", "avx2_3x32", "avx512_8x32", "unrolled"] {
+        for s in ["avx2_6x16", "avx2_3x32", "avx512_8x32"] {
             assert_eq!(MicroShape::parse(s).map(|m| m.name()).as_deref(), Some(s));
         }
         assert_eq!(MicroShape::parse("avx2_6x7"), None);
         assert_eq!(MicroShape::parse("neon_2x2"), None);
+        assert_eq!(MicroShape::parse("unrolled"), None);
     }
 
     #[test]
     fn artifact_round_trips_through_json() {
         let report = tune(48, 1);
         let json = report.to_json();
-        assert_eq!(parse_artifact(&json), Some(report.best));
+        assert_eq!(parse_artifact(&json), report.best);
     }
 
     #[test]
@@ -249,8 +247,9 @@ mod tests {
         // Default before any set; override; restore (test order safety).
         let shape = active_shape();
         assert!(search_space().contains(&shape) || shape == default_shape());
-        set_active_shape(MicroShape::Unrolled);
-        assert_eq!(active_shape(), MicroShape::Unrolled);
+        let other = MicroShape::Fma { mr: 3, nrv: 4 };
+        set_active_shape(other);
+        assert_eq!(active_shape(), other);
         set_active_shape(default_shape());
     }
 
@@ -259,6 +258,7 @@ mod tests {
         let report = tune(32, 1);
         assert_eq!(report.entries.len(), search_space().len());
         assert!(report.entries.iter().all(|e| e.gflops > 0.0));
-        assert!(search_space().contains(&report.best));
+        assert_eq!(report.best.is_some(), !search_space().is_empty());
+        assert!(report.best.is_none_or(|b| search_space().contains(&b)));
     }
 }

@@ -96,10 +96,17 @@ proptest! {
     ) {
         let mut c_ref = vec![0.0f32; m * n];
         let mut c_par = vec![0.0f32; m * n];
+        let mut c_blk = vec![0.0f32; m * n];
         gemm_naive(&a, &b, &mut c_ref, m, k, n);
         gemm(&a, &b, &mut c_par, m, k, n);
+        gemm_blocked(&a, &b, &mut c_blk, m, k, n);
         for (x, y) in c_ref.iter().zip(&c_par) {
             prop_assert!((x - y).abs() < 1e-3);
+        }
+        // The served kernel (AVX-512 tiles where the host has them) keeps
+        // the blocked oracle's rounding exactly.
+        for (x, y) in c_blk.iter().zip(&c_par) {
+            prop_assert_eq!(x.to_bits(), y.to_bits(), "gemm {} vs blocked {}", y, x);
         }
     }
 
@@ -250,6 +257,9 @@ proptest! {
         }
         for (x, y) in c_ref.iter().zip(&c_par) {
             prop_assert!((x - y).abs() < 1e-3, "parallel {x} vs {y}");
+        }
+        for (x, y) in c_blk.iter().zip(&c_par) {
+            prop_assert_eq!(x.to_bits(), y.to_bits(), "gemm {} vs blocked {}", y, x);
         }
     }
 
